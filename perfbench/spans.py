@@ -41,10 +41,8 @@ BENCH_CALLS = {
     "sample_dcs": "sampling",
     "type_counts": "sampling",
     "ml_estimate": "sampling",
-    "typicality_test": "sampling",
-    "save_samples": "io",
-    "load_samples": "io",
     "load_system": "io",
+    "load_tensor": "io",
     "load_result": "io",
     "recover_system": "inversion",
     "output_distribution": "core",

@@ -1,10 +1,11 @@
-"""The four benchmark workloads: inputs from a seed, one job, its checks.
+"""The three benchmark workloads: inputs from a seed, one job, its checks.
 
 Each workload has a ``prepare`` that builds a pool of job inputs from the
 run seeds (this is the set-up the benchmark times) and a ``job`` that runs
-job ``j`` on ``pool[j % len(pool)]`` and checks its output.  Pools hold more
-inputs than a run at the first baseline uses, so a run's slowest jobs come
-from distinct inputs rather than from a few repeated ones.  A job returns a
+job ``j`` on ``pool[j % len(pool)]`` and checks its output.  The noisy_fit
+pool holds more inputs than a run at the baseline uses, so its slowest jobs
+come from distinct inputs rather than from a few repeated ones; a wide_law
+job's cost is set by K, which cycles with ``j``.  A job returns a
 `JobResult`: exact counts (compared bit for bit when a job is replayed),
 quality numbers, and the output checks it failed.
 
@@ -40,11 +41,6 @@ NOISY_RESTARTS = 4
 NOISY_MAX_ITERS = 40
 NOISY_P_TOL = 5e-2
 NOISY_POOL = 128
-
-# bulk_io: the data path with no solver.
-BULK_K = 10
-BULK_N = 50_000
-BULK_POOL = 128
 
 # wide_law: dense forward map on a 4^K-cell alphabet.
 WIDE_L = 4
@@ -184,42 +180,19 @@ def job_noisy_fit(lib, item, workdir) -> JobResult:
         out.failures.append(f"result has p_hat of shape {p_hat.shape} and {len(channels_hat)} channels")
         return out
     out.failures += _check_log(log, best_restart, objective, NOISY_RESTARTS)
+    # The law estimated from the CSV round trip must equal, bit for bit, the
+    # law of the records simulate drew (same system, n and seed).
+    counts = lib.type_counts(lib.sample_dcs(truth, NOISY_N, sim_seed))
+    if int(counts.counts.sum()) != NOISY_N:
+        out.failures.append(f"counts sum to {int(counts.counts.sum())}, expected {NOISY_N}")
+    q_mem, q_csv = lib.ml_estimate(counts), lib.load_tensor(q_p)
+    if q_csv.shape != q_mem.shape or not np.array_equal(q_csv.values, q_mem.values):
+        out.failures.append("law estimated from the CSV differs from the law of the records sampled")
     p_err, _ = _aligned_errors(truth, p_hat, channels_hat)
     out.counts = _restart_counts(log, NOISY_RESTARTS, NOISY_MAX_ITERS, objective)
-    out.counts["records"] = NOISY_N
+    out.counts["records"] = 2 * NOISY_N  # simulate's draw and the check's redraw
     out.counts["bytes_saved"] = out.counts["bytes_loaded"] = os.path.getsize(smp_p)
-    out.quality = {"hit": p_err <= NOISY_P_TOL, "p_err": p_err, "objective": objective}
-    return out
-
-
-# --- bulk_io -----------------------------------------------------------------
-
-
-def prepare_bulk_io(seed: int, seed2: int) -> list:
-    pool = []
-    for i in range(BULK_POOL):
-        truth = dc.random_system(2, 2, BULK_K, job_seed(seed, seed2, i, 0))
-        pool.append((truth, dc.output_distribution(truth), job_seed(seed, seed2, i, 1)))
-    return pool
-
-
-def job_bulk_io(lib, item, workdir) -> JobResult:
-    truth, q, sim_seed = item
-    path = os.path.join(workdir, "samples.csv")
-    batch = lib.sample_dcs(truth, BULK_N, sim_seed)
-    lib.save_samples(path, batch)
-    back = lib.load_samples(path, truth.output_size)
-    counts = lib.type_counts(back)
-    q_hat = lib.ml_estimate(counts)
-    typical = lib.typicality_test(q_hat, q, BULK_N)
-    out = JobResult()
-    if not np.array_equal(back.records, batch.records):
-        out.failures.append("records read back differ from the records sampled")
-    if int(counts.counts.sum()) != BULK_N:
-        out.failures.append(f"counts sum to {int(counts.counts.sum())}, expected {BULK_N}")
-    size = os.path.getsize(path)
-    out.counts = {"records": BULK_N, "bytes_saved": size, "bytes_loaded": size, "cells": q_hat.values.size}
-    out.quality = {"typical": bool(typical), "records_carried": BULK_N}
+    out.quality = {"hit": p_err <= NOISY_P_TOL, "p_err": p_err, "objective": objective, "records_carried": NOISY_N}
     return out
 
 
@@ -272,6 +245,5 @@ def job_wide_law(lib, item, workdir) -> JobResult:
 WORKLOADS = {
     "exact_fit": (prepare_exact_fit, job_exact_fit),
     "noisy_fit": (prepare_noisy_fit, job_noisy_fit),
-    "bulk_io": (prepare_bulk_io, job_bulk_io),
     "wide_law": (prepare_wide_law, job_wide_law),
 }
