@@ -27,6 +27,11 @@ STOCHASTIC_ATOL = 1e-12
 TENSOR_MASS_ATOL = 1e-10
 # Default relative singular-value cutoff used by invertibility tests.
 SINGULAR_RTOL = 1e-9
+# Largest dense array (in cells) that joint laws, their Khatri-Rao forward
+# product and type counts may allocate: 2 GiB of float64.  The largest the
+# package is exercised at is a K = 11, L' = L = 4 forward product, 4^11 * 4
+# (about 1.7e7) cells.
+MAX_DENSE_CELLS = 2**28
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -301,9 +306,17 @@ def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def _joint_output_flat(p: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Flat joint output law for raw arrays; shared with the solver."""
-    return khatri_rao(mats) @ p
+def check_dense_cells(cells: int, what: str) -> None:
+    """Refuse a dense array of more than ``MAX_DENSE_CELLS`` float64 cells.
+
+    Joint laws and their counts grow as ``L'^K``; the check runs before the
+    allocation, so an oversized input fails with a message instead of
+    exhausting memory.
+    """
+    if cells > MAX_DENSE_CELLS:
+        raise ValueError(
+            f"{what} needs {cells} dense cells, more than the limit of {MAX_DENSE_CELLS}"
+        )
 
 
 def output_distribution(system: DCSystem) -> JointTensor:
@@ -313,9 +326,9 @@ def output_distribution(system: DCSystem) -> JointTensor:
     the tensor product of the channels applied to the diagonal embedding
     of ``p``.
     """
-    mats = [ch.entries for ch in system.channels]
-    flat = _joint_output_flat(system.p.probs, mats)
     shape = tuple(ch.outputs for ch in system.channels)
+    check_dense_cells(math.prod(shape) * system.hidden_size, "the joint output law")
+    flat = khatri_rao([ch.entries for ch in system.channels]) @ system.p.probs
     return JointTensor(shape, flat)
 
 

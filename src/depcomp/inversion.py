@@ -4,13 +4,14 @@ Given (an estimate of) the joint output law of ``K >= 3`` channels reading a
 common hidden draw, the solver searches for a hidden distribution and channel
 stack reproducing it.  The fit objective is block-multiconvex: with all blocks
 but one frozen, the model is linear in the free block, so each block is a
-convex problem over a product of probability simplices.  We therefore run
-projected-gradient descent block by block (hidden distribution first, then
-each channel), accepting only strict decreases of one canonical objective
-evaluation, which makes the iteration monotone by construction.  Multi-start
-over seeded restarts guards against the poor local minima any single start
-can hit; results are canonicalised to descending hidden mass so the
-permutation ambiguity cannot leak into comparisons.
+convex problem over a product of probability simplices.  Holding ``p`` as an
+(L, 1) column makes every block column-stochastic, so one projected-gradient
+step serves all of them: the solver runs it block by block (hidden
+distribution first, then each channel), accepting only strict decreases of
+one canonical objective evaluation, which makes the iteration monotone by
+construction.  Multi-start over seeded restarts guards against the poor local
+minima any single start can hit; results are canonicalised to descending
+hidden mass so the permutation ambiguity cannot leak into comparisons.
 """
 
 from __future__ import annotations
@@ -110,25 +111,15 @@ class InversionResult:
     near_boundary: bool
 
 
-def _project_vec(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a vector onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u)
-    ks = np.arange(1, v.size + 1)
-    rho = np.nonzero(u - (css - 1.0) / ks > 0.0)[0][-1]
-    lam = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - lam, 0.0)
-
-
 def _project_cols(V: np.ndarray) -> np.ndarray:
-    """Column-wise simplex projection (vectorised over columns)."""
+    """Column-wise Euclidean projection onto the probability simplex."""
     rows = V.shape[0]
     u = -np.sort(-V, axis=0)
     css = np.cumsum(u, axis=0)
     ks = np.arange(1, rows + 1)[:, None]
     cond = u - (css - 1.0) / ks > 0.0
     rho = rows - 1 - np.argmax(cond[::-1, :], axis=0)
-    lam = (np.take_along_axis(css, rho[None, :], axis=0)[0] - 1.0) / (rho + 1.0)
+    lam = (css[rho, np.arange(V.shape[1])] - 1.0) / (rho + 1.0)
     return np.maximum(V - lam[None, :], 0.0)
 
 
@@ -139,7 +130,7 @@ def project_simplex(v) -> Distribution:
         raise ValueError("input must be a non-empty 1-D vector")
     if not np.all(np.isfinite(arr)):
         raise ValueError("input entries must be finite")
-    return Distribution(_project_vec(arr))
+    return Distribution(_project_cols(arr[:, None])[:, 0])
 
 
 def _objective_flat(m: np.ndarray, q: np.ndarray, kind: str, eps: float) -> float:
@@ -166,7 +157,9 @@ def objective(candidate: DCSystem, q_hat: JointTensor, kind: str, smoothing_eps:
 
     ``kind`` selects smoothed relative entropy in bits ("kl", with
     ``smoothing_eps`` added to the reference inside the log), total variation
-    style L1 ("l1"), or squared Euclidean distance ("l2sq").
+    style L1 ("l1"), or squared Euclidean distance ("l2sq").  "kl" is
+    ``D(model || q_hat)``: the model law weights the log ratio, which is the
+    reverse of the likelihood direction ``D(q_hat || model)``.
     """
     if kind not in OBJECTIVE_KINDS:
         raise ValueError(f"objective must be one of {OBJECTIVE_KINDS}")
@@ -178,112 +171,97 @@ def objective(candidate: DCSystem, q_hat: JointTensor, kind: str, smoothing_eps:
     return _objective_flat(model.values, q_hat.values, kind, smoothing_eps)
 
 
-def _forward(p: np.ndarray, Ws: list) -> np.ndarray:
-    return khatri_rao(Ws) @ p
+def _forward(blocks: list) -> np.ndarray:
+    """Flat model law of the solver state ``[p as an (L, 1) column, W_1..W_K]``."""
+    return khatri_rao(blocks[1:]) @ blocks[0][:, 0]
 
 
-def _descend_p(p, Ws, q, f_cur, kind, eps, step):
-    """Projected-gradient steps on the hidden distribution; monotone."""
-    M = khatri_rao(Ws)
-    step = 1.0 if step is None else step
-    move = 0.0
-    for _ in range(_BLOCK_STEPS):
-        g = M.T @ _grad_flat(M @ p, q, kind, eps)
-        s, accepted = step, False
-        while s > _MIN_STEP:
-            cand = _project_vec(p - s * g)
-            f_new = _objective_flat(M @ cand, q, kind, eps)
-            if f_new < f_cur:
-                move = max(move, float(np.max(np.abs(cand - p))))
-                p, f_cur = cand, f_new
-                step = min(s * 2.0, _MAX_STEP)
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            break
-    return p, f_cur, step, move
+def _block_maps(blocks: list, i: int, shape: tuple):
+    """Forward map and gradient pull-back of block ``i``, others frozen.
 
-
-def _descend_w(idx, p, Ws, q, shape, f_cur, kind, eps, step):
-    """Projected-gradient steps on channel ``idx``; monotone.
-
-    Candidates are scored through the same flat-order forward evaluation as
-    every other block, so the objective trace is exactly non-increasing.
+    Every block's candidates are scored by the full forward product of
+    `_forward` (for ``p`` with the channels' Khatri-Rao product formed once),
+    so all blocks see bit-identical objective values and the trace is exactly
+    non-increasing across blocks.
     """
-    L = p.size
-    others = Ws[:idx] + Ws[idx + 1 :]
-    B = khatri_rao(others) if others else np.ones((1, L))
-    C = B * p[None, :]
+    if i == 0:
+        M = khatri_rao(blocks[1:])
+        return (lambda X: M @ X[:, 0]), (lambda g: (M.T @ g)[:, None])
+
+    def fwd(X):
+        return _forward(blocks[:i] + [X] + blocks[i + 1 :])
+
+    k = i - 1
+    others = blocks[1:i] + blocks[i + 1 :]
+    B = khatri_rao(others) if others else np.ones((1, blocks[0].shape[0]))
+    C = B * blocks[0].T
+
+    def adj(g):
+        return np.moveaxis(g.reshape(shape), k, 0).reshape(shape[k], -1) @ C
+
+    return fwd, adj
+
+
+def _descend(X, fwd, adj, q, f_cur, kind, eps, step):
+    """Projected-gradient steps on one column-stochastic block; monotone."""
     step = 1.0 if step is None else step
     move = 0.0
-
-    def f_at(Wc):
-        return _objective_flat(_forward(p, Ws[:idx] + [Wc] + Ws[idx + 1 :]), q, kind, eps)
-
-    W = Ws[idx]
     for _ in range(_BLOCK_STEPS):
-        dfdm = _grad_flat(_forward(p, Ws[:idx] + [W] + Ws[idx + 1 :]), q, kind, eps)
-        G = np.moveaxis(dfdm.reshape(shape), idx, 0).reshape(shape[idx], -1) @ C
+        G = adj(_grad_flat(fwd(X), q, kind, eps))
         s, accepted = step, False
         while s > _MIN_STEP:
-            cand = _project_cols(W - s * G)
-            f_new = f_at(cand)
+            cand = _project_cols(X - s * G)
+            f_new = _objective_flat(fwd(cand), q, kind, eps)
             if f_new < f_cur:
-                move = max(move, float(np.max(np.abs(cand - W))))
-                W, f_cur = cand, f_new
+                move = max(move, float(np.max(np.abs(cand - X))))
+                X, f_cur = cand, f_new
                 step = min(s * 2.0, _MAX_STEP)
                 accepted = True
                 break
             s *= 0.5
         if not accepted:
             break
-    return W, f_cur, step, move
+    return X, f_cur, step, move
 
 
-def _solve_once(q, shape, p, Ws, cfg: InversionConfig):
+def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
     """Alternating block descent from one start; objective never increases.
 
-    After each sweep an extrapolated point along the last sweep's movement is
-    tried and kept only if it strictly decreases the same canonical objective
+    The state is one list of column-stochastic blocks, ``p`` as an (L, 1)
+    column followed by the channels, visited in that order each sweep.  After
+    each sweep an extrapolated point along the last sweep's movement is tried
+    and kept only if it strictly decreases the same canonical objective
     (monotone heavy-ball), which breaks the slow zigzag of plain alternation.
     """
     kind, eps = cfg.objective, cfg.smoothing_eps
-    f_cur = _objective_flat(_forward(p, Ws), q, kind, eps)
+    f_cur = _objective_flat(_forward(blocks), q, kind, eps)
     trace = [f_cur] if cfg.record_trace else None
-    step_p = None
-    step_w = [None] * len(Ws)
+    steps = [None] * len(blocks)
     gamma = 1.0
-    prev_point = None
+    prev = None
     f_window = f_cur
     converged = False
     iters = 0
     for iters in range(1, cfg.max_iters + 1):
         f_prev = f_cur
-        anchor = (p.copy(), [W.copy() for W in Ws])
+        anchor = list(blocks)
         move = 0.0
-        p, f_cur, step_p, d = _descend_p(p, Ws, q, f_cur, kind, eps, step_p)
-        move = max(move, d)
-        for k in range(len(Ws)):
-            Wk, f_cur, step_w[k], d = _descend_w(
-                k, p, Ws, q, shape, f_cur, kind, eps, step_w[k]
+        for i in range(len(blocks)):
+            fwd, adj = _block_maps(blocks, i, shape)
+            blocks[i], f_cur, steps[i], d = _descend(
+                blocks[i], fwd, adj, q, f_cur, kind, eps, steps[i]
             )
-            Ws[k] = Wk
             move = max(move, d)
-        if prev_point is not None:
-            p_ex = _project_vec(p + gamma * (p - prev_point[0]))
-            Ws_ex = [
-                _project_cols(W + gamma * (W - W_old))
-                for W, W_old in zip(Ws, prev_point[1])
-            ]
-            f_ex = _objective_flat(_forward(p_ex, Ws_ex), q, kind, eps)
+        if prev is not None:
+            ex = [_project_cols(X + gamma * (X - X_old)) for X, X_old in zip(blocks, prev)]
+            f_ex = _objective_flat(_forward(ex), q, kind, eps)
             if f_ex < f_cur:
-                move = max(move, float(np.max(np.abs(p_ex - p))))
-                p, Ws, f_cur = p_ex, Ws_ex, f_ex
+                move = max(move, float(np.max(np.abs(ex[0] - blocks[0]))))
+                blocks, f_cur = ex, f_ex
                 gamma = min(gamma * 1.25, 4.0)
             else:
                 gamma = max(gamma * 0.5, 0.25)
-        prev_point = anchor
+        prev = anchor
         if trace is not None:
             trace.append(f_cur)
         if f_cur <= _FIT_FLOOR:
@@ -296,20 +274,19 @@ def _solve_once(q, shape, p, Ws, cfg: InversionConfig):
             if f_window - f_cur <= max(1e-16, _STALL_RTOL * f_cur):
                 break
             f_window = f_cur
-    return p, Ws, f_cur, iters, converged, trace
+    return blocks, f_cur, iters, converged, trace
 
 
-def _random_start(rng: Generator, L: int, Lp: int, K: int):
-    p = rng.dirichlet(np.ones(L))
-    Ws = []
+def _random_start(rng: Generator, L: int, Lp: int, K: int) -> list:
+    blocks = [rng.dirichlet(np.ones(L))[:, None]]
     for _ in range(K):
         noise = rng.dirichlet(np.ones(Lp), size=L).T
         if L == Lp:
             beta = rng.uniform(0.1, 0.7)
-            Ws.append((1.0 - beta) * np.eye(L) + beta * noise)
+            blocks.append((1.0 - beta) * np.eye(L) + beta * noise)
         else:
-            Ws.append(noise)
-    return p, Ws
+            blocks.append(noise)
+    return blocks
 
 
 def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResult:
@@ -338,9 +315,8 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
     logs = []
     for j in range(config.restarts):
         rng = Generator(Philox(key=config.seed).jumped(j))
-        p0, W0 = _random_start(rng, config.L, Lp, K)
-        p, Ws, f_final, iters, converged, trace = _solve_once(
-            q, q_hat.shape, p0, W0, config
+        blocks, f_final, iters, converged, trace = _solve_once(
+            q, q_hat.shape, _random_start(rng, config.L, Lp, K), config
         )
         logs.append(
             RestartLog(
@@ -352,12 +328,12 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
             )
         )
         if best is None or f_final < best[0]:
-            best = (f_final, j, p, Ws, converged)
+            best = (f_final, j, blocks, converged)
         if f_final <= _FIT_FLOOR:
             break
-    f_best, j_best, p_best, Ws_best, conv_best = best
+    f_best, j_best, (p_best, *Ws_best), conv_best = best
     system = canonicalize(
-        DCSystem(Distribution(p_best), tuple(Channel(W) for W in Ws_best))
+        DCSystem(Distribution(p_best[:, 0]), tuple(Channel(W) for W in Ws_best))
     )
     return InversionResult(
         p_hat=system.p,

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import Channel, DCSystem, Distribution, JointTensor, kl_divergence
+from .core import (
+    Channel,
+    DCSystem,
+    Distribution,
+    JointTensor,
+    check_dense_cells,
+    kl_divergence,
+)
 
 # Philox-4x64 emits 4 64-bit words (4 doubles) per counter increment, so
 # per-record layouts are padded to a multiple of 4 draws to keep records
@@ -151,8 +158,10 @@ def sample_dcs(system: DCSystem, n: int, seed: int, _chunk: int = 1 << 15) -> Sa
 def type_counts(batch: SampleBatch) -> EmpiricalCounts:
     """Count occurrences of each output tuple (order-invariant)."""
     shape = (batch.output_size,) * batch.num_channels
+    cells = math.prod(shape)
+    check_dense_cells(cells, "counting output tuples")
     flat_idx = np.ravel_multi_index(tuple((batch.records - 1).T), shape)
-    counts = np.bincount(flat_idx, minlength=math.prod(shape)).astype(np.int64)
+    counts = np.bincount(flat_idx, minlength=cells).astype(np.int64)
     return EmpiricalCounts(shape, counts, batch.n)
 
 
@@ -182,6 +191,11 @@ def random_channel(
     Rejects draws until every pair of columns is at least ``min_column_gap``
     apart in L1, so downstream rank tests are well-conditioned.
     """
+    if outputs == 1 < inputs and min_column_gap > 0.0:
+        raise ValueError(
+            "a channel with one output symbol cannot have distinct columns; "
+            "use at least two output symbols"
+        )
     for _ in range(1000):
         cols = rng.dirichlet(np.ones(outputs), size=inputs).T
         ok = True

@@ -71,6 +71,14 @@ class TestGen:
         assert code == 2
         assert "error" in err
 
+    def test_single_output_symbol_exits_2(self, tmp_path):
+        # One output symbol cannot give a channel distinct columns.
+        path = tmp_path / "s.json"
+        code, _, err = run_cli("gen", "--L", "3", "--Lprime", "1", "--K", "2", "--out", str(path))
+        assert code == 2
+        assert "output symbol" in err
+        assert not path.exists()
+
 
 class TestSimulateEstimate:
     @pytest.fixture()
@@ -85,6 +93,14 @@ class TestSimulateEstimate:
         assert load_samples(a).n == 1000
         run_cli("simulate", "--system", str(system_path), "--n", "1000", "--seed", "5", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_estimate_oversized_table_exits_2(self, tmp_path):
+        samples = tmp_path / "wide.csv"
+        header = "t," + ",".join(f"y{k}" for k in range(1, 41))
+        samples.write_text(header + "\n1," + ",".join(["1", "2"] * 20) + "\n")
+        code, _, err = run_cli("estimate", "--samples", str(samples), "--out", str(tmp_path / "q.json"))
+        assert code == 2
+        assert "dense cells" in err
 
     def test_simulate_missing_system_exits_2(self, tmp_path):
         code, _, err = run_cli("simulate", "--system", str(tmp_path / "no.json"), "--n", "5", "--seed", "1", "--out", str(tmp_path / "x.csv"))

@@ -224,6 +224,13 @@ class TestOutputDistribution:
                     atol=1e-12,
                 )
 
+    def test_refuses_oversized_law(self):
+        # 2^40 * 2 cells: refused before anything is allocated.
+        flip = dc.Channel(np.array([[0.9, 0.2], [0.1, 0.8]]))
+        sys_ = dc.DCSystem(P_BSC, (flip,) * 40)
+        with pytest.raises(ValueError, match="dense cells"):
+            dc.output_distribution(sys_)
+
 
 class TestPartialTrace:
     def test_diagonal_marginal(self):

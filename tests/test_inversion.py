@@ -212,6 +212,27 @@ class TestRecoverSystem:
         canon = dc.canonicalize(truth)
         assert np.abs(res.p_hat.probs - canon.p.probs).sum() <= 1e-2
 
+    @pytest.mark.parametrize(
+        "kind, L, Lp", [("l1", 2, 2), ("l2sq", 2, 3)], ids=["l1", "rectangular"]
+    )
+    def test_fit_properties(self, kind, L, Lp):
+        truth = dc.random_system(L, Lp, 3, 21)
+        q = dc.output_distribution(truth)
+        cfg = dc.InversionConfig(
+            L=L, objective=kind, restarts=3, max_iters=50, seed=0, record_trace=True
+        )
+        res = dc.recover_system(q, cfg)
+        for entry in res.restart_log:
+            assert np.all(np.diff(entry.trace) <= 0.0)
+        for w in res.channels_hat:
+            assert w.entries.shape == (Lp, L)
+            assert np.all(w.entries >= 0.0)
+            np.testing.assert_allclose(w.entries.sum(axis=0), 1.0, rtol=0.0, atol=1e-10)
+        fit = dc.DCSystem(res.p_hat, res.channels_hat)
+        assert res.objective_value == pytest.approx(
+            dc.objective(fit, q, kind), rel=1e-9, abs=1e-12
+        )
+
     def test_invalid_inputs(self):
         q = dc.JointTensor((2, 2, 2), np.full(8, 0.125))
         with pytest.raises(ValueError):

@@ -106,6 +106,11 @@ class TestTypeCounts:
             dc.type_counts(b).counts, dc.type_counts(shuffled).counts
         )
 
+    def test_refuses_oversized_table(self):
+        # 2^40 cells for a single record: refused before bincount allocates.
+        with pytest.raises(ValueError, match="dense cells"):
+            dc.type_counts(dc.SampleBatch(2, np.ones((1, 40), dtype=np.int64)))
+
 
 class TestMlEstimate:
     def test_simple_ratio(self):
