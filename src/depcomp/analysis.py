@@ -24,6 +24,7 @@ from .core import (
     Distribution,
     JointTensor,
     channel_invertible,
+    column_gaps,
     khatri_rao,
     kl_divergence,
     output_distribution,
@@ -60,13 +61,12 @@ def khatri_rao_power(W: Channel, K: int) -> np.ndarray:
 
 
 def _check_distinct_columns(W: Channel, tol: float) -> None:
-    cols = W.entries
-    for a in range(W.inputs):
-        for b in range(a + 1, W.inputs):
-            if np.abs(cols[:, a] - cols[:, b]).sum() <= tol:
-                raise DuplicateColumnsError(
-                    f"columns {a + 1} and {b + 1} coincide within {tol}"
-                )
+    for a, gaps in column_gaps(W.entries):
+        close = np.flatnonzero(gaps <= tol)
+        if close.size:
+            raise DuplicateColumnsError(
+                f"columns {a + 1} and {a + close[0] + 2} coincide within {tol}"
+            )
 
 
 def activation_invertible(W: Channel, K: int, tol: float = 1e-9) -> bool:

@@ -80,7 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--Lprime", type=int, default=None, help="output alphabet size for --samples")
     inv.add_argument("--objective", choices=["kl", "l1", "l2sq"], default="l2sq")
     inv.add_argument("--restarts", type=int, default=16)
-    inv.add_argument("--max-iters", type=int, default=2000, dest="max_iters")
+    inv.add_argument(
+        "--max-iters", type=int, default=2000, dest="max_iters",
+        help="sweeps per restart; a sweep is one step per block plus one extrapolation",
+    )
     inv.add_argument("--tol", type=float, default=1e-10, help="step tolerance")
     inv.add_argument("--seed", type=int, default=0)
     inv.add_argument("--out", default=None, help="result file path (default: print to stdout)")
@@ -241,3 +244,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -319,6 +319,18 @@ def check_dense_cells(cells: int, what: str) -> None:
         )
 
 
+def column_gaps(entries: np.ndarray):
+    """Yield ``(a, gaps)``: L1 distances from column ``a`` to columns ``a+1..``.
+
+    One column at a time keeps memory at the size of ``entries`` and lets a
+    caller stop at the first close pair.  Each distance sums one contiguous
+    row of differences, exactly as a 1-D ``sum`` of that column difference.
+    """
+    cols = np.ascontiguousarray(entries.T)
+    for a in range(cols.shape[0] - 1):
+        yield a, np.abs(cols[a + 1 :] - cols[a]).sum(axis=1)
+
+
 def output_distribution(system: DCSystem) -> JointTensor:
     """Joint law of the K channel outputs given one hidden draw.
 

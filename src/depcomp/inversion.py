@@ -6,12 +6,15 @@ stack reproducing it.  The fit objective is block-multiconvex: with all blocks
 but one frozen, the model is linear in the free block, so each block is a
 convex problem over a product of probability simplices.  Holding ``p`` as an
 (L, 1) column makes every block column-stochastic, so one projected-gradient
-step serves all of them: the solver runs it block by block (hidden
-distribution first, then each channel), accepting only strict decreases of
-one canonical objective evaluation, which makes the iteration monotone by
-construction.  Multi-start over seeded restarts guards against the poor local
-minima any single start can hit; results are canonicalised to descending
-hidden mass so the permutation ambiguity cannot leak into comparisons.
+step serves all of them.  A sweep takes exactly one backtracking step per
+block (hidden distribution first, then each channel) plus one extrapolation,
+accepting only strict decreases of one canonical objective evaluation, which
+makes the iteration monotone by construction.  A restart stops at the fit
+floor, on convergence (``step_tol`` bounds the largest entry change of any
+block), or after ``max_iters`` sweeps.  Multi-start over seeded restarts
+guards against the poor local minima any single start can hit; results are
+canonicalised to descending hidden mass so the permutation ambiguity cannot
+leak into comparisons.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ OBJECTIVE_KINDS = ("kl", "l1", "l2sq")
 # where identifiability degrades; results flag it rather than failing.
 BOUNDARY_MASS = 1e-6
 
-_BLOCK_STEPS = 8  # projected-gradient steps per block visit
 _MIN_STEP = 1e-18
 _MAX_STEP = 1e6
 _LN2 = float(np.log(2.0))
@@ -51,16 +53,14 @@ _LN2 = float(np.log(2.0))
 # they could only tie.
 _FIT_FLOOR = 1e-10
 
-# A restart whose relative progress over a full window is this small is
-# grinding a flat tail; its current point is as converged as it will get
-# within any sane budget, so it stops early (converged stays False).
-_STALL_WINDOW = 15
-_STALL_RTOL = 1e-6
-
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Solver settings; ``L`` is the hidden alphabet size to fit."""
+    """Solver settings; ``L`` is the hidden alphabet size to fit.
+
+    ``max_iters`` counts sweeps; ``step_tol`` bounds the largest entry change
+    of any block, ``p`` or a channel, in a converged sweep.
+    """
 
     L: int
     objective: str = "l2sq"
@@ -203,45 +203,42 @@ def _block_maps(blocks: list, i: int, shape: tuple):
 
 
 def _descend(X, fwd, adj, q, f_cur, kind, eps, step):
-    """Projected-gradient steps on one column-stochastic block; monotone."""
-    step = 1.0 if step is None else step
-    move = 0.0
-    for _ in range(_BLOCK_STEPS):
-        G = adj(_grad_flat(fwd(X), q, kind, eps))
-        s, accepted = step, False
-        while s > _MIN_STEP:
-            cand = _project_cols(X - s * G)
-            f_new = _objective_flat(fwd(cand), q, kind, eps)
-            if f_new < f_cur:
-                move = max(move, float(np.max(np.abs(cand - X))))
-                X, f_cur = cand, f_new
-                step = min(s * 2.0, _MAX_STEP)
-                accepted = True
-                break
-            s *= 0.5
-        if not accepted:
-            break
-    return X, f_cur, step, move
+    """One backtracking projected-gradient step on a column-stochastic block.
+
+    Halves the step from ``step`` until the projected candidate strictly
+    decreases the objective and returns the first such candidate with its
+    largest entry change; below ``_MIN_STEP`` the block comes back unchanged.
+    """
+    G = adj(_grad_flat(fwd(X), q, kind, eps))
+    s = step
+    while s > _MIN_STEP:
+        cand = _project_cols(X - s * G)
+        f_new = _objective_flat(fwd(cand), q, kind, eps)
+        if f_new < f_cur:
+            return cand, f_new, min(s * 2.0, _MAX_STEP), float(np.max(np.abs(cand - X)))
+        s *= 0.5
+    return X, f_cur, step, 0.0
 
 
 def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
     """Alternating block descent from one start; objective never increases.
 
     The state is one list of column-stochastic blocks, ``p`` as an (L, 1)
-    column followed by the channels, visited in that order each sweep.  After
-    each sweep an extrapolated point along the last sweep's movement is tried
-    and kept only if it strictly decreases the same canonical objective
-    (monotone heavy-ball), which breaks the slow zigzag of plain alternation.
+    column followed by the channels.  One sweep takes one projected step per
+    block, in that order, then tries an extrapolated point along the last
+    sweep's movement and keeps it only if it strictly decreases the same
+    canonical objective (monotone heavy-ball), which breaks the slow zigzag of
+    plain alternation.  It stops at ``_FIT_FLOOR``, once a sweep moves no
+    block entry by more than ``step_tol`` nor the objective by more than
+    ``objective_tol``, or after ``max_iters`` sweeps.
     """
     kind, eps = cfg.objective, cfg.smoothing_eps
     f_cur = _objective_flat(_forward(blocks), q, kind, eps)
     trace = [f_cur] if cfg.record_trace else None
-    steps = [None] * len(blocks)
+    steps = [1.0] * len(blocks)
     gamma = 1.0
     prev = None
-    f_window = f_cur
     converged = False
-    iters = 0
     for iters in range(1, cfg.max_iters + 1):
         f_prev = f_cur
         anchor = list(blocks)
@@ -256,7 +253,7 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
             ex = [_project_cols(X + gamma * (X - X_old)) for X, X_old in zip(blocks, prev)]
             f_ex = _objective_flat(_forward(ex), q, kind, eps)
             if f_ex < f_cur:
-                move = max(move, float(np.max(np.abs(ex[0] - blocks[0]))))
+                move = max(move, *(float(np.max(np.abs(E - X))) for E, X in zip(ex, blocks)))
                 blocks, f_cur = ex, f_ex
                 gamma = min(gamma * 1.25, 4.0)
             else:
@@ -264,16 +261,11 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
         prev = anchor
         if trace is not None:
             trace.append(f_cur)
-        if f_cur <= _FIT_FLOOR:
+        if f_cur <= _FIT_FLOOR or (
+            move <= cfg.step_tol and (f_prev - f_cur) <= cfg.objective_tol
+        ):
             converged = True
             break
-        if move <= cfg.step_tol and (f_prev - f_cur) <= cfg.objective_tol:
-            converged = True
-            break
-        if iters % _STALL_WINDOW == 0:
-            if f_window - f_cur <= max(1e-16, _STALL_RTOL * f_cur):
-                break
-            f_window = f_cur
     return blocks, f_cur, iters, converged, trace
 
 

@@ -21,6 +21,7 @@ from .core import (
     Distribution,
     JointTensor,
     check_dense_cells,
+    column_gaps,
     kl_divergence,
 )
 
@@ -189,7 +190,8 @@ def random_channel(
     """Dirichlet-column channel with pairwise-distinct columns.
 
     Rejects draws until every pair of columns is at least ``min_column_gap``
-    apart in L1, so downstream rank tests are well-conditioned.
+    apart in L1, so downstream rank tests are well-conditioned; raises
+    ``ValueError`` when 1000 draws all fail.
     """
     if outputs == 1 < inputs and min_column_gap > 0.0:
         raise ValueError(
@@ -198,17 +200,12 @@ def random_channel(
         )
     for _ in range(1000):
         cols = rng.dirichlet(np.ones(outputs), size=inputs).T
-        ok = True
-        for a in range(inputs):
-            for b in range(a + 1, inputs):
-                if np.abs(cols[:, a] - cols[:, b]).sum() < min_column_gap:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(np.all(gaps >= min_column_gap) for _, gaps in column_gaps(cols)):
             return Channel(cols)
-    raise RuntimeError("failed to draw a channel with distinct columns")
+    raise ValueError(
+        f"1000 draws gave no {outputs}x{inputs} channel with columns at least "
+        f"{min_column_gap} apart; use more output symbols or fewer inputs"
+    )
 
 
 def random_system(
@@ -242,7 +239,10 @@ def random_system(
             p = Distribution(cand)
             break
     if p is None:
-        raise RuntimeError("failed to draw a hidden distribution meeting the floors")
+        raise ValueError(
+            f"1000 draws gave no hidden distribution over {L} symbols with "
+            f"min_mass={min_mass} and min_gap={min_gap}"
+        )
     channels = []
     for _ in range(K):
         if L == Lprime:

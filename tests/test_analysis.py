@@ -79,8 +79,12 @@ class TestActivationInvertible:
 
     def test_duplicate_columns_rejected(self):
         dup = dc.Channel(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
-        with pytest.raises(dc.DuplicateColumnsError):
+        with pytest.raises(dc.DuplicateColumnsError, match="columns 2 and 3"):
             dc.activation_invertible(dup, 2)
+        # Two coinciding pairs: the message names the first, (1, 3).
+        twice = dc.Channel(np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]]))
+        with pytest.raises(dc.DuplicateColumnsError, match="columns 1 and 3"):
+            dc.min_activation_order(twice, 3)
         assert issubclass(dc.DuplicateColumnsError, ValueError)
 
 

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,15 @@ class TestGen:
         code, _, err = run_cli("gen", "--L", "3", "--Lprime", "1", "--K", "2", "--out", str(path))
         assert code == 2
         assert "output symbol" in err
+        assert not path.exists()
+
+    def test_unmeetable_column_gap_exits_2(self, tmp_path):
+        # 200 distinct binary columns 1e-3 apart are possible but the
+        # rejection loop never draws them; that is bad input, not a crash.
+        path = tmp_path / "s.json"
+        code, _, err = run_cli("gen", "--L", "200", "--Lprime", "2", "--K", "1", "--out", str(path))
+        assert code == 2
+        assert "1000 draws" in err
         assert not path.exists()
 
 
@@ -215,6 +228,18 @@ class TestVerify:
         code, out, _ = run_cli("verify", "--suite", "gap", "--seed", "1")
         assert code == 0
         assert "PASS" in out
+
+    def test_module_entry_point_runs(self):
+        # `python -m depcomp.cli` must run the verb, not just import the module.
+        src = str(Path(dc.__file__).resolve().parents[1])
+        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run(
+            [sys.executable, "-m", "depcomp.cli", "verify", "--suite", "gap", "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "suite gap: PASS" in proc.stdout
 
     def test_fault_injection_exits_3(self, monkeypatch):
         monkeypatch.setattr(verify, "_FAULT", "gap")

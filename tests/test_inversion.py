@@ -224,6 +224,10 @@ class TestRecoverSystem:
         res = dc.recover_system(q, cfg)
         for entry in res.restart_log:
             assert np.all(np.diff(entry.trace) <= 0.0)
+            # Every stop is the fit floor, convergence or the sweep budget.
+            assert entry.iterations <= cfg.max_iters
+            assert len(entry.trace) == entry.iterations + 1
+            assert entry.converged or entry.iterations == cfg.max_iters
         for w in res.channels_hat:
             assert w.entries.shape == (Lp, L)
             assert np.all(w.entries >= 0.0)

@@ -216,6 +216,9 @@ class TestRandomGeneration:
         for seed in range(10):
             sys_ = dc.random_system(3, 3, 3, seed, min_mass=0.1)
             assert sys_.p.probs.min() >= 0.1
+        # Three masses above 0.4 cannot sum to one: bad input, not a crash.
+        with pytest.raises(ValueError, match="1000 draws"):
+            dc.random_system(3, 3, 3, 0, min_mass=0.4)
 
     def test_random_system_deterministic(self):
         a = dc.random_system(3, 2, 4, 99)
