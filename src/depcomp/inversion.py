@@ -181,8 +181,10 @@ def _block_maps(blocks: list, i: int, shape: tuple):
 
     Every block's candidates are scored by the full forward product of
     `_forward` (for ``p`` with the channels' Khatri-Rao product formed once),
-    so all blocks see bit-identical objective values and the trace is exactly
-    non-increasing across blocks.
+    so all blocks see bit-identical objective values and model laws: the law
+    of a block's accepted candidate is the one the next block starts from,
+    which lets `_solve_once` carry it instead of recomputing it, and the trace
+    is exactly non-increasing across blocks.
     """
     if i == 0:
         M = khatri_rao(blocks[1:])
@@ -202,29 +204,34 @@ def _block_maps(blocks: list, i: int, shape: tuple):
     return fwd, adj
 
 
-def _descend(X, fwd, adj, q, f_cur, kind, eps, step):
+def _descend(X, fwd, adj, q, m_cur, f_cur, kind, eps, step):
     """One backtracking projected-gradient step on a column-stochastic block.
 
-    Halves the step from ``step`` until the projected candidate strictly
-    decreases the objective and returns the first such candidate with its
-    largest entry change; below ``_MIN_STEP`` the block comes back unchanged.
+    ``m_cur`` is the flat model law of the current state, ``fwd(X)``, and
+    ``f_cur`` its objective.  Halves the step from ``step`` until the
+    projected candidate strictly decreases the objective and returns the
+    first such candidate with its model law, objective, next step and largest
+    entry change; below ``_MIN_STEP`` the block comes back unchanged.
     """
-    G = adj(_grad_flat(fwd(X), q, kind, eps))
+    G = adj(_grad_flat(m_cur, q, kind, eps))
     s = step
     while s > _MIN_STEP:
         cand = _project_cols(X - s * G)
-        f_new = _objective_flat(fwd(cand), q, kind, eps)
+        m_new = fwd(cand)
+        f_new = _objective_flat(m_new, q, kind, eps)
         if f_new < f_cur:
-            return cand, f_new, min(s * 2.0, _MAX_STEP), float(np.max(np.abs(cand - X)))
+            return cand, m_new, f_new, min(s * 2.0, _MAX_STEP), float(np.max(np.abs(cand - X)))
         s *= 0.5
-    return X, f_cur, step, 0.0
+    return X, m_cur, f_cur, step, 0.0
 
 
 def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
     """Alternating block descent from one start; objective never increases.
 
     The state is one list of column-stochastic blocks, ``p`` as an (L, 1)
-    column followed by the channels.  One sweep takes one projected step per
+    column followed by the channels, and ``m_cur`` is the flat model law of
+    the accepted state, so each block's gradient starts from it without a
+    forward product of its own.  One sweep takes one projected step per
     block, in that order, then tries an extrapolated point along the last
     sweep's movement and keeps it only if it strictly decreases the same
     canonical objective (monotone heavy-ball), which breaks the slow zigzag of
@@ -233,7 +240,8 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
     ``objective_tol``, or after ``max_iters`` sweeps.
     """
     kind, eps = cfg.objective, cfg.smoothing_eps
-    f_cur = _objective_flat(_forward(blocks), q, kind, eps)
+    m_cur = _forward(blocks)
+    f_cur = _objective_flat(m_cur, q, kind, eps)
     trace = [f_cur] if cfg.record_trace else None
     steps = [1.0] * len(blocks)
     gamma = 1.0
@@ -245,16 +253,17 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
         move = 0.0
         for i in range(len(blocks)):
             fwd, adj = _block_maps(blocks, i, shape)
-            blocks[i], f_cur, steps[i], d = _descend(
-                blocks[i], fwd, adj, q, f_cur, kind, eps, steps[i]
+            blocks[i], m_cur, f_cur, steps[i], d = _descend(
+                blocks[i], fwd, adj, q, m_cur, f_cur, kind, eps, steps[i]
             )
             move = max(move, d)
         if prev is not None:
             ex = [_project_cols(X + gamma * (X - X_old)) for X, X_old in zip(blocks, prev)]
-            f_ex = _objective_flat(_forward(ex), q, kind, eps)
+            m_ex = _forward(ex)
+            f_ex = _objective_flat(m_ex, q, kind, eps)
             if f_ex < f_cur:
                 move = max(move, *(float(np.max(np.abs(E - X))) for E, X in zip(ex, blocks)))
-                blocks, f_cur = ex, f_ex
+                blocks, m_cur, f_cur = ex, m_ex, f_ex
                 gamma = min(gamma * 1.25, 4.0)
             else:
                 gamma = max(gamma * 0.5, 0.25)

@@ -79,14 +79,17 @@ def render_json(obj) -> str:
     return _render(obj, 0) + "\n"
 
 
-def write_text_atomic(path, text: str) -> None:
-    """Write via a sibling temp file and rename, so the path is never partial."""
+def write_text_atomic(path, text) -> None:
+    """Write via a sibling temp file and rename, so the path is never partial.
+
+    ``text`` is a string or an iterable of strings, written in order.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -169,35 +172,87 @@ def load_tensor(path) -> JointTensor:
     return JointTensor(tuple(shape), np.array(values, dtype=np.float64))
 
 
+# Sample-file rows formatted per `%`: the transient Python ints and text of
+# one chunk, not of the whole sample, set the writer's peak memory.
+_CSV_CHUNK_ROWS = 4096
+
+
+def _sample_header(K: int) -> str:
+    return "t," + ",".join(f"y{k}" for k in range(1, K + 1))
+
+
+def _sample_text(records: np.ndarray):
+    """The sample file of ``records`` in pieces, one `%` per chunk of rows."""
+    n, K = records.shape
+    yield _sample_header(K) + "\n"
+    table = np.column_stack((np.arange(1, n + 1, dtype=np.int64), records))
+    row = ",".join(["%d"] * (K + 1)) + "\n"
+    for start in range(0, n, _CSV_CHUNK_ROWS):
+        block = table[start : start + _CSV_CHUNK_ROWS]
+        yield (row * len(block)) % tuple(block.ravel().tolist())
+
+
 def save_samples(path, batch: SampleBatch) -> None:
-    header = "t," + ",".join(f"y{k}" for k in range(1, batch.num_channels + 1))
-    lines = [header]
-    for t, row in enumerate(batch.records, start=1):
-        lines.append(str(t) + "," + ",".join(str(int(y)) for y in row))
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    """Write ``t,y1..yK`` and one ``t,y_1,...,y_K`` line per record, ``t`` from 1.
+
+    Each chunk of rows is formatted by one ``%`` over a repeated row format,
+    so no Python code runs per record.
+    """
+    write_text_atomic(path, _sample_text(batch.records))
+
+
+def _parse_rows(rows: list, width: int) -> np.ndarray:
+    """The (len(rows), width) int64 table of comma-separated ``rows``.
+
+    The body is parsed by numpy's C reader.  If any row is malformed, the
+    first one is found by bisecting on the longest prefix that parses, so the
+    error names the row, counted from 1, without a Python loop over rows.
+    """
+
+    def parse(upto):
+        try:
+            table = np.loadtxt(rows[:upto], delimiter=",", dtype=np.int64, ndmin=2, comments=None)
+        except (ValueError, OverflowError):
+            return None
+        return table if table.shape[1] == width else None
+
+    table = parse(len(rows))
+    if table is not None:
+        return table
+    good, bad = 0, len(rows)  # rows[:good] parse, rows[:bad] do not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if parse(mid) is None:
+            bad = mid
+        else:
+            good = mid
+    fields = rows[bad - 1].count(",") + 1
+    if fields != width:
+        raise ValueError(f"sample file: row {bad} has {fields} fields, expected {width}")
+    raise ValueError(f"sample file: row {bad} has a field that is not a 64-bit integer: {rows[bad - 1][:80]!r}")
 
 
 def load_samples(path, output_size: int | None = None) -> SampleBatch:
+    """Read a file written by `save_samples`; blank lines are skipped.
+
+    ``output_size`` defaults to the largest symbol observed.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln != ""]
+        lines = list(filter(None, fh.read().split("\n")))
     if not lines:
         raise ValueError("sample file: empty")
-    header = lines[0].split(",")
-    K = len(header) - 1
-    if K < 1 or header != ["t"] + [f"y{k}" for k in range(1, K + 1)]:
+    K = lines[0].count(",")
+    if K < 1 or lines[0] != _sample_header(K):
         raise ValueError(f"sample file: bad header {lines[0]!r}")
-    records = np.empty((len(lines) - 1, K), dtype=np.int64)
-    for idx, line in enumerate(lines[1:], start=1):
-        cells = line.split(",")
-        if len(cells) != K + 1:
-            raise ValueError(f"sample file: row {idx} has {len(cells)} fields, expected {K + 1}")
-        try:
-            parsed = [int(c) for c in cells]
-        except ValueError:
-            raise ValueError(f"sample file: row {idx} has non-integer fields") from None
-        if parsed[0] != idx:
-            raise ValueError(f"sample file: row counter {parsed[0]} at line {idx + 1}, expected {idx}")
-        records[idx - 1] = parsed[1:]
+    if len(lines) == 1:
+        raise ValueError("sample file: no records")
+    table = _parse_rows(lines[1:], K + 1)
+    t = table[:, 0]
+    wrong = np.flatnonzero(t != np.arange(1, t.size + 1))
+    if wrong.size:
+        row = int(wrong[0]) + 1
+        raise ValueError(f"sample file: row {row} has counter {t[row - 1]}, expected {row}")
+    records = table[:, 1:]
     if output_size is None:
         output_size = int(records.max())
     return SampleBatch(output_size, records)

@@ -115,6 +115,21 @@ class TestSimulateEstimate:
         assert code == 2
         assert "dense cells" in err
 
+    def test_estimate_out_of_range_symbol_exits_2(self, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("t,y1,y2,y3\n1,1,2,1\n2,99999999999999999999,1,2\n")
+        code, _, err = run_cli("estimate", "--samples", str(samples), "--out", str(tmp_path / "q.json"))
+        assert code == 2
+        assert "row 2 has a field that is not a 64-bit integer" in err
+
+    def test_estimate_without_records_exits_2(self, tmp_path):
+        samples = tmp_path / "samples.csv"
+        samples.write_text("t,y1,y2,y3\n")
+        for extra in ([], ["--Lprime", "2"]):
+            code, _, err = run_cli("estimate", "--samples", str(samples), "--out", str(tmp_path / "q.json"), *extra)
+            assert code == 2
+            assert err == "error: sample file: no records\n"
+
     def test_simulate_missing_system_exits_2(self, tmp_path):
         code, _, err = run_cli("simulate", "--system", str(tmp_path / "no.json"), "--n", "5", "--seed", "1", "--out", str(tmp_path / "x.csv"))
         assert code == 2

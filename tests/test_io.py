@@ -60,6 +60,15 @@ class TestAtomicWrite:
         write_text_atomic(tmp_path / "doc.json", "content\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
 
+    def test_failed_piecewise_write_leaves_nothing(self, tmp_path):
+        def pieces():
+            yield "partial\n"
+            raise RuntimeError("stopped mid-write")
+
+        with pytest.raises(RuntimeError):
+            write_text_atomic(tmp_path / "doc.json", pieces())
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSystemFile:
     def test_round_trip_is_value_identical(self, tmp_path):
@@ -118,25 +127,52 @@ class TestTensorFile:
             load_tensor(path)
 
 
+def reference_csv(records) -> str:
+    """The sample-file format written one record at a time."""
+    lines = ["t," + ",".join(f"y{k}" for k in range(1, records.shape[1] + 1))]
+    for t, row in enumerate(records.tolist(), start=1):
+        lines.append(",".join(str(v) for v in [t] + row))
+    return "\n".join(lines) + "\n"
+
+
+# (L, L', K, n): one channel, one record, two-digit symbols, a whole number
+# of the writer's 4096-row chunks, more than 2^15 records.
+SAMPLE_SHAPES = [(2, 3, 1, 50), (2, 2, 3, 1), (2, 12, 3, 400), (2, 2, 2, 2**13), (2, 2, 2, 2**15 + 3)]
+
+
+def sampled_batch(L, Lp, K, n):
+    return dc.sample_dcs(dc.random_system(L, Lp, K, 8), n, seed=2)
+
+
 class TestSampleFile:
     def test_format(self, tmp_path):
         batch = dc.SampleBatch(3, np.array([[1, 3], [2, 1]]))
         path = tmp_path / "samples.csv"
         save_samples(path, batch)
         assert path.read_text() == "t,y1,y2\n1,1,3\n2,2,1\n"
+        for shape in SAMPLE_SHAPES:
+            batch = sampled_batch(*shape)
+            save_samples(path, batch)
+            assert path.read_bytes() == reference_csv(batch.records).encode(), shape
 
     def test_round_trip(self, tmp_path):
-        batch = dc.sample_dcs(dc.random_system(2, 3, 4, 8), 200, seed=2)
         path = tmp_path / "samples.csv"
-        save_samples(path, batch)
-        loaded = load_samples(path, output_size=3)
-        assert loaded.output_size == 3
-        np.testing.assert_array_equal(loaded.records, batch.records)
+        for L, Lp, K, n in [(2, 3, 4, 200)] + SAMPLE_SHAPES:
+            batch = sampled_batch(L, Lp, K, n)
+            save_samples(path, batch)
+            loaded = load_samples(path, output_size=Lp)
+            assert loaded.output_size == Lp
+            np.testing.assert_array_equal(loaded.records, batch.records)
 
     def test_output_size_inferred(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("t,y1\n1,2\n2,1\n")
         assert load_samples(path).output_size == 2
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("\nt,y1,y2\n\n1,1,2\n\n\n2,2,1\n\n")
+        np.testing.assert_array_equal(load_samples(path).records, [[1, 2], [2, 1]])
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"
@@ -144,17 +180,45 @@ class TestSampleFile:
         with pytest.raises(ValueError):
             load_samples(path)
 
+    def test_no_records_rejected(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("t,y1,y2\n\n")
+        for output_size in (None, 2):
+            with pytest.raises(ValueError, match="^sample file: no records$"):
+                load_samples(path, output_size)
+
+    def test_wrong_field_count_rejected(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        for body, row, fields in [
+            ("1,1,2\n2,1\n", 2, 2),
+            ("1,1\n2,1\n", 1, 2),
+            ("1,1,2\n2,2,1\n\n3,1,1,1\n", 3, 4),
+            ("1,1,2,\n", 1, 4),
+        ]:
+            path.write_text("t,y1,y2\n" + body)
+            with pytest.raises(ValueError, match=f"row {row} has {fields} fields, expected 3"):
+                load_samples(path)
+
     def test_bad_row_counter_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"
         path.write_text("t,y1\n1,1\n3,1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="row 2 has counter 3, expected 2"):
+            load_samples(path)
+        path.write_text("t,y1\n0,1\n")
+        with pytest.raises(ValueError, match="row 1 has counter 0, expected 1"):
             load_samples(path)
 
     def test_non_integer_cell_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"
-        path.write_text("t,y1\n1,1.5\n")
-        with pytest.raises(ValueError):
-            load_samples(path)
+        for body, row in [
+            ("1,1.5\n", 1),
+            ("1,1\n2,\n", 2),
+            ("1,1\n2,1\n\n3,99999999999999999999\n", 3),
+            ("1,x\n", 1),
+        ]:
+            path.write_text("t,y1\n" + body)
+            with pytest.raises(ValueError, match=f"row {row} has a field that is not a 64-bit integer"):
+                load_samples(path)
 
 
 class TestResultFile:
