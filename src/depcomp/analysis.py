@@ -191,7 +191,11 @@ def parameter_count_feasible(L: int, K: int) -> bool:
     """
     if L < 2 or K < 1:
         raise ValueError("need an alphabet of size at least 2 and at least one channel")
-    return L**K >= K * (L - 1) * L + L
+    rhs = K * (L - 1) * L + L
+    # L^K >= 2^(K (bits(L) - 1)) >= 2^bits(rhs) > rhs: large K never forms L^K.
+    if K * (L.bit_length() - 1) >= rhs.bit_length():
+        return True
+    return L**K >= rhs
 
 
 @dataclass(frozen=True)

@@ -201,7 +201,7 @@ def _cmd_check_fork(args) -> int:
 
 def _cmd_check_params(args) -> int:
     feasible = parameter_count_feasible(args.L, args.K)
-    lhs = args.L**args.K
+    lhs = args.L**args.K if args.K * args.L.bit_length() <= 64 else f"{args.L}^{args.K}"
     rhs = args.K * (args.L - 1) * args.L + args.L
     rel = ">=" if feasible else "<"
     print(f"observable cells {lhs} {rel} free parameters {rhs}: {'feasible' if feasible else 'infeasible'}")

@@ -25,7 +25,7 @@ import numpy as np
 STOCHASTIC_ATOL = 1e-12
 # Joint tensors accumulate more float error (products over K factors).
 TENSOR_MASS_ATOL = 1e-10
-# Default relative singular-value cutoff used by invertibility tests.
+# Relative singular-value cutoff used by invertibility tests.
 SINGULAR_RTOL = 1e-9
 # Largest dense array (in cells) that joint laws, their Khatri-Rao forward
 # product and type counts may allocate: 2 GiB of float64.  The largest the
@@ -400,14 +400,13 @@ def permute_system(tau: Permutation, system: DCSystem) -> DCSystem:
     return DCSystem(p_new, chans)
 
 
-def channel_invertible(W: Channel, tol: float | None = None) -> bool:
+def channel_invertible(W: Channel) -> bool:
     """Whether a square channel is numerically invertible.
 
-    True iff the smallest singular value exceeds ``tol``; when ``tol`` is
-    omitted it defaults to ``SINGULAR_RTOL`` times the largest singular value.
+    True iff the smallest singular value exceeds ``SINGULAR_RTOL`` times the
+    largest.
     """
     if W.outputs != W.inputs:
         raise ValueError(f"invertibility needs a square channel, got {W.outputs}x{W.inputs}")
     s = np.linalg.svd(W.entries, compute_uv=False)
-    cutoff = SINGULAR_RTOL * float(s[0]) if tol is None else float(tol)
-    return bool(s[-1] > cutoff)
+    return bool(s[-1] > SINGULAR_RTOL * float(s[0]))

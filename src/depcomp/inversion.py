@@ -31,6 +31,7 @@ from .core import (
     DCSystem,
     Distribution,
     JointTensor,
+    check_dense_cells,
     khatri_rao,
     output_distribution,
     permute_system,
@@ -53,13 +54,19 @@ _LN2 = float(np.log(2.0))
 # they could only tie.
 _FIT_FLOOR = 1e-10
 
+# A converged sweep also lowers the objective by at most _OBJECTIVE_TOL;
+# _SMOOTHING_EPS keeps the "kl" logs finite on cells where either law is zero.
+_OBJECTIVE_TOL = 1e-12
+_SMOOTHING_EPS = 1e-12
+
 
 @dataclass(frozen=True)
 class InversionConfig:
     """Solver settings; ``L`` is the hidden alphabet size to fit.
 
     ``max_iters`` counts sweeps; ``step_tol`` bounds the largest entry change
-    of any block, ``p`` or a channel, in a converged sweep.
+    of any block, ``p`` or a channel, in a converged sweep.  The objective
+    drop a converged sweep may make and the "kl" smoothing are fixed at 1e-12.
     """
 
     L: int
@@ -67,10 +74,7 @@ class InversionConfig:
     restarts: int = 16
     max_iters: int = 2000
     step_tol: float = 1e-10
-    objective_tol: float = 1e-12
     seed: int = 0
-    smoothing_eps: float = 1e-12
-    record_trace: bool = False
 
     def __post_init__(self):
         if int(self.L) < 1:
@@ -81,23 +85,21 @@ class InversionConfig:
             raise ValueError("need at least one restart")
         if int(self.max_iters) < 1:
             raise ValueError("need at least one iteration")
-        if not self.step_tol > 0.0 or not self.objective_tol > 0.0:
-            raise ValueError("tolerances must be positive")
+        if not self.step_tol > 0.0:
+            raise ValueError("step tolerance must be positive")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if not self.smoothing_eps > 0.0:
-            raise ValueError("smoothing epsilon must be positive")
 
 
 @dataclass(frozen=True)
 class RestartLog:
-    """Outcome of one restart: final objective and iteration accounting."""
+    """One restart's outcome; ``trace`` is its objective at the start and after each sweep."""
 
     restart: int
     objective: float
     iterations: int
     converged: bool
-    trace: tuple | None = None
+    trace: tuple
 
 
 @dataclass(frozen=True)
@@ -133,7 +135,7 @@ def project_simplex(v) -> Distribution:
     return Distribution(_project_cols(arr[:, None])[:, 0])
 
 
-def _objective_flat(m: np.ndarray, q: np.ndarray, kind: str, eps: float) -> float:
+def _objective_flat(m: np.ndarray, q: np.ndarray, kind: str) -> float:
     if kind == "l2sq":
         d = m - q
         return float(d @ d)
@@ -141,34 +143,32 @@ def _objective_flat(m: np.ndarray, q: np.ndarray, kind: str, eps: float) -> floa
         return float(np.abs(m - q).sum())
     mask = m > 0.0
     mm = m[mask]
-    return float(np.sum(mm * np.log2(mm / (q[mask] + eps))))
+    return float(np.sum(mm * np.log2(mm / (q[mask] + _SMOOTHING_EPS))))
 
 
-def _grad_flat(m: np.ndarray, q: np.ndarray, kind: str, eps: float) -> np.ndarray:
+def _grad_flat(m: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
     if kind == "l2sq":
         return 2.0 * (m - q)
     if kind == "l1":
         return np.sign(m - q)
-    return (np.log(np.maximum(m, eps) / (q + eps)) / _LN2) + 1.0 / _LN2
+    return (np.log(np.maximum(m, _SMOOTHING_EPS) / (q + _SMOOTHING_EPS)) / _LN2) + 1.0 / _LN2
 
 
-def objective(candidate: DCSystem, q_hat: JointTensor, kind: str, smoothing_eps: float = 1e-12) -> float:
+def objective(candidate: DCSystem, q_hat: JointTensor, kind: str) -> float:
     """Misfit between a candidate system's output law and ``q_hat``.
 
-    ``kind`` selects smoothed relative entropy in bits ("kl", with
-    ``smoothing_eps`` added to the reference inside the log), total variation
-    style L1 ("l1"), or squared Euclidean distance ("l2sq").  "kl" is
-    ``D(model || q_hat)``: the model law weights the log ratio, which is the
-    reverse of the likelihood direction ``D(q_hat || model)``.
+    ``kind`` selects smoothed relative entropy in bits ("kl", with 1e-12
+    added to the reference inside the log), total variation style L1 ("l1"),
+    or squared Euclidean distance ("l2sq").  "kl" is ``D(model || q_hat)``:
+    the model law weights the log ratio, which is the reverse of the
+    likelihood direction ``D(q_hat || model)``.
     """
     if kind not in OBJECTIVE_KINDS:
         raise ValueError(f"objective must be one of {OBJECTIVE_KINDS}")
-    if kind == "kl" and not smoothing_eps > 0.0:
-        raise ValueError("smoothing epsilon must be positive")
     model = output_distribution(candidate)
     if model.shape != q_hat.shape:
         raise ValueError(f"shape mismatch: model {model.shape} vs target {q_hat.shape}")
-    return _objective_flat(model.values, q_hat.values, kind, smoothing_eps)
+    return _objective_flat(model.values, q_hat.values, kind)
 
 
 def _forward(blocks: list) -> np.ndarray:
@@ -204,7 +204,7 @@ def _block_maps(blocks: list, i: int, shape: tuple):
     return fwd, adj
 
 
-def _descend(X, fwd, adj, q, m_cur, f_cur, kind, eps, step):
+def _descend(X, fwd, adj, q, m_cur, f_cur, kind, step):
     """One backtracking projected-gradient step on a column-stochastic block.
 
     ``m_cur`` is the flat model law of the current state, ``fwd(X)``, and
@@ -213,12 +213,12 @@ def _descend(X, fwd, adj, q, m_cur, f_cur, kind, eps, step):
     first such candidate with its model law, objective, next step and largest
     entry change; below ``_MIN_STEP`` the block comes back unchanged.
     """
-    G = adj(_grad_flat(m_cur, q, kind, eps))
+    G = adj(_grad_flat(m_cur, q, kind))
     s = step
     while s > _MIN_STEP:
         cand = _project_cols(X - s * G)
         m_new = fwd(cand)
-        f_new = _objective_flat(m_new, q, kind, eps)
+        f_new = _objective_flat(m_new, q, kind)
         if f_new < f_cur:
             return cand, m_new, f_new, min(s * 2.0, _MAX_STEP), float(np.max(np.abs(cand - X)))
         s *= 0.5
@@ -237,12 +237,12 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
     canonical objective (monotone heavy-ball), which breaks the slow zigzag of
     plain alternation.  It stops at ``_FIT_FLOOR``, once a sweep moves no
     block entry by more than ``step_tol`` nor the objective by more than
-    ``objective_tol``, or after ``max_iters`` sweeps.
+    ``_OBJECTIVE_TOL``, or after ``max_iters`` sweeps.
     """
-    kind, eps = cfg.objective, cfg.smoothing_eps
+    kind = cfg.objective
     m_cur = _forward(blocks)
-    f_cur = _objective_flat(m_cur, q, kind, eps)
-    trace = [f_cur] if cfg.record_trace else None
+    f_cur = _objective_flat(m_cur, q, kind)
+    trace = [f_cur]
     steps = [1.0] * len(blocks)
     gamma = 1.0
     prev = None
@@ -254,13 +254,13 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
         for i in range(len(blocks)):
             fwd, adj = _block_maps(blocks, i, shape)
             blocks[i], m_cur, f_cur, steps[i], d = _descend(
-                blocks[i], fwd, adj, q, m_cur, f_cur, kind, eps, steps[i]
+                blocks[i], fwd, adj, q, m_cur, f_cur, kind, steps[i]
             )
             move = max(move, d)
         if prev is not None:
             ex = [_project_cols(X + gamma * (X - X_old)) for X, X_old in zip(blocks, prev)]
             m_ex = _forward(ex)
-            f_ex = _objective_flat(m_ex, q, kind, eps)
+            f_ex = _objective_flat(m_ex, q, kind)
             if f_ex < f_cur:
                 move = max(move, *(float(np.max(np.abs(E - X))) for E, X in zip(ex, blocks)))
                 blocks, m_cur, f_cur = ex, m_ex, f_ex
@@ -268,10 +268,9 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
             else:
                 gamma = max(gamma * 0.5, 0.25)
         prev = anchor
-        if trace is not None:
-            trace.append(f_cur)
+        trace.append(f_cur)
         if f_cur <= _FIT_FLOOR or (
-            move <= cfg.step_tol and (f_prev - f_cur) <= cfg.objective_tol
+            move <= cfg.step_tol and (f_prev - f_cur) <= _OBJECTIVE_TOL
         ):
             converged = True
             break
@@ -302,6 +301,7 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
     """
     if len(set(q_hat.shape)) != 1:
         raise ValueError("all observation axes must share one output alphabet")
+    check_dense_cells(q_hat.values.size * config.L, "the solver's forward product")
     Lp = q_hat.shape[0]
     K = q_hat.axes
     if K < 3:
@@ -325,7 +325,7 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
                 objective=f_final,
                 iterations=iters,
                 converged=converged,
-                trace=None if trace is None else tuple(trace),
+                trace=tuple(trace),
             )
         )
         if best is None or f_final < best[0]:

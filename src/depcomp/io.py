@@ -8,6 +8,7 @@ so readers never observe partial files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -235,7 +236,8 @@ def _parse_rows(rows: list, width: int) -> np.ndarray:
 def load_samples(path, output_size: int | None = None) -> SampleBatch:
     """Read a file written by `save_samples`; blank lines are skipped.
 
-    ``output_size`` defaults to the largest symbol observed.
+    ``output_size`` defaults to the largest symbol observed; the error for a
+    symbol outside ``1..output_size`` names its row.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = list(filter(None, fh.read().split("\n")))
@@ -255,6 +257,12 @@ def load_samples(path, output_size: int | None = None) -> SampleBatch:
     records = table[:, 1:]
     if output_size is None:
         output_size = int(records.max())
+    elif output_size < 1:
+        raise ValueError("output alphabet size must be at least 1")
+    bad = np.argwhere((records < 1) | (records > output_size))
+    if bad.size:
+        row, col = (int(i) + 1 for i in bad[0])
+        raise ValueError(f"sample file: row {row} has y{col} = {records[row - 1, col - 1]}, outside 1..{output_size}")
     return SampleBatch(output_size, records)
 
 
@@ -264,16 +272,7 @@ def result_document(result: InversionResult, config: InversionConfig) -> dict:
     return {
         "library_version": __version__,
         "seed": int(config.seed),
-        "config": {
-            "L": config.L,
-            "objective": config.objective,
-            "restarts": config.restarts,
-            "max_iters": config.max_iters,
-            "step_tol": config.step_tol,
-            "objective_tol": config.objective_tol,
-            "seed": int(config.seed),
-            "smoothing_eps": config.smoothing_eps,
-        },
+        "config": dataclasses.asdict(config),
         "objective": {"kind": config.objective, "value": result.objective_value},
         "converged": result.converged,
         "best_restart": result.best_restart,

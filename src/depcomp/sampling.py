@@ -30,6 +30,8 @@ from .core import (
 # aligned with counter blocks.
 _PHILOX_BLOCK = 4
 _MAX_SEED = 2**64
+# Weight of the Dirichlet noise in `random_system`'s square channels.
+_NOISE_WEIGHT = 0.3
 
 
 @dataclass(frozen=True)
@@ -214,22 +216,19 @@ def random_system(
     K: int,
     seed: int,
     *,
-    noise_weight: float = 0.3,
     min_mass: float = 0.0,
     min_gap: float = 0.0,
-    min_column_gap: float = 1e-3,
 ) -> DCSystem:
     """Seeded random system with a strictly descending, strictly positive ``p``.
 
-    Square channels are identity/noise mixtures ``(1 - w) I + w N`` with
-    Dirichlet noise ``N`` (invertible for moderate ``w``); rectangular ones
-    get independent Dirichlet columns.  ``min_mass`` and ``min_gap`` impose a
-    floor on the smallest hidden mass and on gaps between sorted masses.
+    Square channels are identity/noise mixtures ``0.7 I + 0.3 N`` with
+    Dirichlet noise ``N``, so their identity part keeps them invertible;
+    rectangular ones come from `random_channel` with its default column gap.
+    ``min_mass`` and ``min_gap`` impose a floor on the smallest hidden mass
+    and on gaps between sorted masses.
     """
     if L < 1 or Lprime < 1 or K < 1:
         raise ValueError("alphabet sizes and channel count must be at least 1")
-    if not 0.0 <= noise_weight <= 1.0:
-        raise ValueError("noise weight must lie in [0, 1]")
     rng = Generator(Philox(key=_check_seed(seed)))
     p = None
     for _ in range(1000):
@@ -247,7 +246,7 @@ def random_system(
     for _ in range(K):
         if L == Lprime:
             noise = rng.dirichlet(np.ones(Lprime), size=L).T
-            channels.append(Channel((1.0 - noise_weight) * np.eye(L) + noise_weight * noise))
+            channels.append(Channel((1.0 - _NOISE_WEIGHT) * np.eye(L) + _NOISE_WEIGHT * noise))
         else:
-            channels.append(random_channel(rng, Lprime, L, min_column_gap=min_column_gap))
+            channels.append(random_channel(rng, Lprime, L))
     return DCSystem(p, tuple(channels))

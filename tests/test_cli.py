@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 import depcomp as dc
 import depcomp.verify as verify
 from depcomp.cli import main
-from depcomp.io import load_result, load_samples, load_system, load_tensor, save_system
+from depcomp.io import load_result, load_samples, load_system, load_tensor, save_system, save_tensor
 
 
 def run_cli(*args):
@@ -154,8 +155,6 @@ class TestInvert:
         fit_path = tmp_path / "fit.json"
         run_cli("gen", "--L", "2", "--K", "3", "--seed", "4", "--out", str(sys_path))
         truth = load_system(sys_path)
-        from depcomp.io import save_tensor
-
         save_tensor(q_path, dc.output_distribution(truth))
         code, out, _ = run_cli(
             "invert", "--q", str(q_path), "--L", "2", "--restarts", "32",
@@ -189,6 +188,13 @@ class TestInvert:
         assert code == 0
         doc = json.loads(out)
         assert "p_hat" in doc and "restart_log" in doc
+
+    def test_oversized_fit_exits_2(self, tmp_path):
+        q_path = tmp_path / "q.json"
+        save_tensor(q_path, dc.output_distribution(dc.random_system(2, 2, 3, 1)))
+        code, out, err = run_cli("invert", "--q", str(q_path), "--L", "1000000000000")
+        assert (code, out) == (2, "")
+        assert "the solver's forward product needs 8000000000000 dense cells" in err
 
 
 class TestCheck:
@@ -230,6 +236,14 @@ class TestCheck:
         code, out, _ = run_cli("check", "params", "--L", "2", "--K", "2")
         assert code == 0
         assert "infeasible" in out
+
+    def test_params_large_K(self):
+        for K in ("5000", "1000000000000"):
+            start = time.perf_counter()
+            code, out, err = run_cli("check", "params", "--L", "10", "--K", K)
+            assert (code, err) == (0, "")
+            assert out.endswith(f"10^{K} >= free parameters {int(K) * 90 + 10}: feasible\n")
+            assert time.perf_counter() - start < 1.0
 
     def test_mi(self, rect_path):
         code, out, _ = run_cli("check", "mi", "--system", str(rect_path))

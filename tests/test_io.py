@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -11,6 +12,7 @@ from depcomp.io import (
     load_system,
     load_tensor,
     render_json,
+    result_document,
     save_result,
     save_samples,
     save_system,
@@ -208,6 +210,17 @@ class TestSampleFile:
         with pytest.raises(ValueError, match="row 1 has counter 0, expected 1"):
             load_samples(path)
 
+    def test_symbol_out_of_range_names_row(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        for body, output_size, match in [
+            ("1,0,0\n2,0,0\n", None, r"row 1 has y1 = 0, outside 1\.\.0"),
+            ("1,1,2\n2,2,-1\n", None, r"row 2 has y2 = -1, outside 1\.\.2"),
+            ("1,1,2\n2,2,1\n3,3,1\n", 2, r"row 3 has y1 = 3, outside 1\.\.2"),
+        ]:
+            path.write_text("t,y1,y2\n" + body)
+            with pytest.raises(ValueError, match=f"^sample file: {match}$"):
+                load_samples(path, output_size)
+
     def test_non_integer_cell_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"
         for body, row in [
@@ -246,3 +259,10 @@ class TestResultFile:
         assert 1 <= len(doc["restart_log"]) <= 4
         for entry in doc["restart_log"]:
             assert set(entry) == {"restart", "objective", "iterations", "converged"}
+
+    def test_config_keys_are_the_config_fields(self):
+        q = dc.output_distribution(dc.random_system(2, 2, 3, 23))
+        cfg = dc.InversionConfig(L=2, objective="kl", restarts=2, max_iters=30, step_tol=1e-8, seed=5)
+        doc = result_document(dc.recover_system(q, cfg), cfg)
+        assert list(doc["config"]) == [f.name for f in dataclasses.fields(dc.InversionConfig)]
+        assert doc["config"] == dataclasses.asdict(cfg)
