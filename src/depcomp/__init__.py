@@ -20,7 +20,6 @@ from .analysis import (
     khatri_rao_power,
     mi_counterexample,
     min_activation_order,
-    numerical_rank,
     pairwise_mutual_information,
     parameter_count_feasible,
     search_nonactivating_channel,
@@ -38,6 +37,7 @@ from .core import (
     khatri_rao,
     kl_divergence,
     lp_distance,
+    numerical_rank,
     output_distribution,
     partial_trace,
     permute_system,

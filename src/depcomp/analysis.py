@@ -27,25 +27,22 @@ from .core import (
     column_gaps,
     khatri_rao,
     kl_divergence,
+    numerical_rank,
     output_distribution,
 )
 from .sampling import random_channel
 
-# Two hidden distributions closer than this (L1) are considered identical
-# when flagging degenerate ambiguity witnesses.
+# Two distributions closer than this (L1) are considered identical: two
+# channel columns that make activation impossible, or the two readings of a
+# degenerate ambiguity witness.
 DEGENERATE_TOL = 1e-9
+# Largest entrywise gap between a conditional law and the product of its
+# marginals that still counts as screening-off.
+SCREENING_ATOL = 1e-10
 
 
 class DuplicateColumnsError(ValueError):
     """Raised when a channel maps two hidden symbols to the same output law."""
-
-
-def numerical_rank(mat: np.ndarray, rel_tol: float = 1e-9) -> int:
-    """Number of singular values above ``rel_tol`` times the largest."""
-    s = np.linalg.svd(np.asarray(mat, dtype=np.float64), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rel_tol * s[0]))
 
 
 def khatri_rao_power(W: Channel, K: int) -> np.ndarray:
@@ -60,43 +57,41 @@ def khatri_rao_power(W: Channel, K: int) -> np.ndarray:
     return khatri_rao([W.entries] * K)
 
 
-def _check_distinct_columns(W: Channel, tol: float) -> None:
+def _check_distinct_columns(W: Channel) -> None:
     for a, gaps in column_gaps(W.entries):
-        close = np.flatnonzero(gaps <= tol)
+        close = np.flatnonzero(gaps <= DEGENERATE_TOL)
         if close.size:
             raise DuplicateColumnsError(
-                f"columns {a + 1} and {a + close[0] + 2} coincide within {tol}"
+                f"columns {a + 1} and {a + close[0] + 2} coincide within {DEGENERATE_TOL}"
             )
 
 
-def activation_invertible(W: Channel, K: int, tol: float = 1e-9) -> bool:
+def activation_invertible(W: Channel, K: int) -> bool:
     """Whether K copies of ``W`` jointly separate all hidden symbols.
 
-    Requires pairwise-distinct columns (otherwise no number of copies can
-    ever separate the coinciding symbols and a `DuplicateColumnsError` is
-    raised).  True iff the K-fold column-power matrix has full column rank at
-    relative tolerance ``tol``.
+    Requires pairwise-distinct columns, no two within ``DEGENERATE_TOL`` in
+    L1 (otherwise no number of copies can ever separate the coinciding
+    symbols and a `DuplicateColumnsError` is raised).  True iff the K-fold
+    column-power matrix has full `numerical_rank`, whose cutoff is
+    ``core.SINGULAR_RTOL``.
     """
-    _check_distinct_columns(W, tol)
-    return numerical_rank(khatri_rao_power(W, K), tol) == W.inputs
+    _check_distinct_columns(W)
+    return numerical_rank(khatri_rao_power(W, K)) == W.inputs
 
 
-def min_activation_order(W: Channel, Kmax: int, tol: float = 1e-9) -> int | None:
+def min_activation_order(W: Channel, Kmax: int) -> int | None:
     """Smallest ``K <= Kmax`` at which ``activation_invertible`` holds, else None."""
     if Kmax < 1:
         raise ValueError("Kmax must be at least 1")
-    _check_distinct_columns(W, tol)
-    for K in range(1, Kmax + 1):
-        if numerical_rank(khatri_rao_power(W, K), tol) == W.inputs:
-            return K
-    return None
+    return next((K for K in range(1, Kmax + 1) if activation_invertible(W, K)), None)
 
 
-def kernels_equal(channels: Sequence[Channel], tol: float = 1e-9) -> bool:
+def kernels_equal(channels: Sequence[Channel]) -> bool:
     """Whether all channels annihilate exactly the same input directions.
 
     Stacking the matrices cannot lower the common kernel, so the kernels all
-    coincide iff every individual rank equals the rank of the full stack.
+    coincide iff every individual rank equals the rank of the full stack;
+    ranks are `numerical_rank`, with the cutoff ``core.SINGULAR_RTOL``.
     """
     channels = list(channels)
     if len(channels) < 2:
@@ -104,11 +99,11 @@ def kernels_equal(channels: Sequence[Channel], tol: float = 1e-9) -> bool:
     dims = {(ch.outputs, ch.inputs) for ch in channels}
     if len(dims) != 1:
         raise ValueError(f"channels must share dimensions, got {sorted(dims)}")
-    ranks = [numerical_rank(ch.entries, tol) for ch in channels]
+    ranks = [numerical_rank(ch.entries) for ch in channels]
     if len(set(ranks)) != 1:
         return False
     stacked = np.vstack([ch.entries for ch in channels])
-    return numerical_rank(stacked, tol) == ranks[0]
+    return numerical_rank(stacked) == ranks[0]
 
 
 @dataclass(frozen=True)
@@ -249,7 +244,7 @@ def k2_ambiguity_witness(
     )
 
 
-def conditionally_independent_given_cause(joint: JointTensor, tol: float = 1e-10) -> bool:
+def conditionally_independent_given_cause(joint: JointTensor, tol: float = SCREENING_ATOL) -> bool:
     """Whether axes 2..m of ``joint`` are independent given axis 1.
 
     For every value of the first axis with positive mass, the conditional
@@ -275,7 +270,7 @@ def conditionally_independent_given_cause(joint: JointTensor, tol: float = 1e-10
     return True
 
 
-def conjunctive_fork_check(system: DCSystem, tol: float = 1e-10) -> bool:
+def conjunctive_fork_check(system: DCSystem, tol: float = SCREENING_ATOL) -> bool:
     """Verify the generative structure: outputs independent given the cause.
 
     Builds the joint law of (hidden symbol, all outputs) and checks that

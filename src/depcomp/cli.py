@@ -23,7 +23,7 @@ from .analysis import (
     parameter_count_feasible,
 )
 from .core import output_distribution
-from .inversion import InversionConfig, recover_system
+from .inversion import OBJECTIVE_KINDS, InversionConfig, recover_system
 from .io import (
     load_samples,
     load_system,
@@ -78,13 +78,12 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--samples", help="sample CSV (estimated internally first)")
     inv.add_argument("--L", type=int, required=True, help="hidden alphabet size to fit")
     inv.add_argument("--Lprime", type=int, default=None, help="output alphabet size for --samples")
-    inv.add_argument("--objective", choices=["kl", "l1", "l2sq"], default="l2sq")
-    inv.add_argument("--restarts", type=int, default=16)
+    inv.add_argument("--objective", choices=OBJECTIVE_KINDS, default=InversionConfig.objective)
+    inv.add_argument("--restarts", type=int, default=InversionConfig.restarts)
     inv.add_argument(
-        "--max-iters", type=int, default=2000, dest="max_iters",
+        "--max-iters", type=int, default=InversionConfig.max_iters, dest="max_iters",
         help="sweeps per restart; a sweep is one step per block plus one extrapolation",
     )
-    inv.add_argument("--tol", type=float, default=1e-10, help="step tolerance")
     inv.add_argument("--seed", type=int, default=0)
     inv.add_argument("--out", default=None, help="result file path (default: print to stdout)")
     inv.set_defaults(func=_cmd_invert)
@@ -95,17 +94,14 @@ def build_parser() -> argparse.ArgumentParser:
     c_act = what.add_parser("activation", help="smallest channel power separating hidden symbols")
     c_act.add_argument("--system", required=True)
     c_act.add_argument("--Kmax", type=int, default=6)
-    c_act.add_argument("--tol", type=float, default=1e-9)
     c_act.set_defaults(func=_cmd_check_activation)
 
     c_ker = what.add_parser("kernels", help="do all channels lose the same information?")
     c_ker.add_argument("--system", required=True)
-    c_ker.add_argument("--tol", type=float, default=1e-9)
     c_ker.set_defaults(func=_cmd_check_kernels)
 
     c_fork = what.add_parser("fork", help="outputs independent given the hidden symbol?")
     c_fork.add_argument("--system", required=True)
-    c_fork.add_argument("--tol", type=float, default=1e-10)
     c_fork.set_defaults(func=_cmd_check_fork)
 
     c_par = what.add_parser("params", help="parameter-count feasibility of recovery")
@@ -159,7 +155,6 @@ def _cmd_invert(args) -> int:
         objective=args.objective,
         restarts=args.restarts,
         max_iters=args.max_iters,
-        step_tol=args.tol,
         seed=args.seed,
     )
     result = recover_system(q_hat, config)
@@ -177,7 +172,7 @@ def _cmd_invert(args) -> int:
 def _cmd_check_activation(args) -> int:
     system = load_system(args.system)
     for k, ch in enumerate(system.channels, start=1):
-        order = min_activation_order(ch, args.Kmax, args.tol)
+        order = min_activation_order(ch, args.Kmax)
         verdict = f"separates all hidden symbols at K={order}" if order else f"not separating up to K={args.Kmax}"
         print(f"channel {k}: {verdict}")
     return 0
@@ -187,22 +182,24 @@ def _cmd_check_kernels(args) -> int:
     system = load_system(args.system)
     if system.num_channels < 2:
         raise ValueError("kernel comparison needs at least two channels")
-    same = kernels_equal(system.channels, args.tol)
+    same = kernels_equal(system.channels)
     print("all channels share one kernel" if same else "channels have differing kernels")
     return 0
 
 
 def _cmd_check_fork(args) -> int:
     system = load_system(args.system)
-    ok = conjunctive_fork_check(system, args.tol)
+    ok = conjunctive_fork_check(system)
     print("outputs are independent given the hidden symbol" if ok else "screening-off FAILS")
     return 0
 
 
 def _cmd_check_params(args) -> int:
-    feasible = parameter_count_feasible(args.L, args.K)
-    lhs = args.L**args.K if args.K * args.L.bit_length() <= 64 else f"{args.L}^{args.K}"
-    rhs = args.K * (args.L - 1) * args.L + args.L
+    L, K = args.L, args.K
+    feasible = parameter_count_feasible(L, K)
+    lhs = L**K if K * L.bit_length() <= 64 else f"{L}^{K}"
+    rhs = K * (L - 1) * L + L
+    rhs = rhs if rhs.bit_length() <= 64 else f"{K}*({L}-1)*{L}+{L}"
     rel = ">=" if feasible else "<"
     print(f"observable cells {lhs} {rel} free parameters {rhs}: {'feasible' if feasible else 'infeasible'}")
     return 0

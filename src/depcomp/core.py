@@ -25,7 +25,7 @@ import numpy as np
 STOCHASTIC_ATOL = 1e-12
 # Joint tensors accumulate more float error (products over K factors).
 TENSOR_MASS_ATOL = 1e-10
-# Relative singular-value cutoff used by invertibility tests.
+# Relative singular-value cutoff of `numerical_rank`, the package's one rank test.
 SINGULAR_RTOL = 1e-9
 # Largest dense array (in cells) that joint laws, their Khatri-Rao forward
 # product and type counts may allocate: 2 GiB of float64.  The largest the
@@ -400,13 +400,19 @@ def permute_system(tau: Permutation, system: DCSystem) -> DCSystem:
     return DCSystem(p_new, chans)
 
 
-def channel_invertible(W: Channel) -> bool:
-    """Whether a square channel is numerically invertible.
+def numerical_rank(mat: np.ndarray) -> int:
+    """Number of singular values above ``SINGULAR_RTOL`` times the largest.
 
-    True iff the smallest singular value exceeds ``SINGULAR_RTOL`` times the
-    largest.
+    The cutoff is relative, so scaling ``mat`` never changes its rank.
     """
+    s = np.linalg.svd(np.asarray(mat, dtype=np.float64), compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > SINGULAR_RTOL * s[0]))
+
+
+def channel_invertible(W: Channel) -> bool:
+    """Whether a square channel has full `numerical_rank`."""
     if W.outputs != W.inputs:
         raise ValueError(f"invertibility needs a square channel, got {W.outputs}x{W.inputs}")
-    s = np.linalg.svd(W.entries, compute_uv=False)
-    return bool(s[-1] > SINGULAR_RTOL * float(s[0]))
+    return numerical_rank(W.entries) == W.inputs

@@ -10,7 +10,7 @@ step serves all of them.  A sweep takes exactly one backtracking step per
 block (hidden distribution first, then each channel) plus one extrapolation,
 accepting only strict decreases of one canonical objective evaluation, which
 makes the iteration monotone by construction.  A restart stops at the fit
-floor, on convergence (``step_tol`` bounds the largest entry change of any
+floor, on convergence (``_STEP_TOL`` bounds the largest entry change of any
 block), or after ``max_iters`` sweeps.  Multi-start over seeded restarts
 guards against the poor local minima any single start can hit; results are
 canonicalised to descending hidden mass so the permutation ambiguity cannot
@@ -34,7 +34,6 @@ from .core import (
     check_dense_cells,
     khatri_rao,
     output_distribution,
-    permute_system,
     Permutation,
 )
 
@@ -54,8 +53,10 @@ _LN2 = float(np.log(2.0))
 # they could only tie.
 _FIT_FLOOR = 1e-10
 
-# A converged sweep also lowers the objective by at most _OBJECTIVE_TOL;
-# _SMOOTHING_EPS keeps the "kl" logs finite on cells where either law is zero.
+# A converged sweep moves no block entry by more than _STEP_TOL and lowers the
+# objective by at most _OBJECTIVE_TOL; _SMOOTHING_EPS keeps the "kl" logs
+# finite on cells where either law is zero.
+_STEP_TOL = 1e-10
 _OBJECTIVE_TOL = 1e-12
 _SMOOTHING_EPS = 1e-12
 
@@ -64,16 +65,16 @@ _SMOOTHING_EPS = 1e-12
 class InversionConfig:
     """Solver settings; ``L`` is the hidden alphabet size to fit.
 
-    ``max_iters`` counts sweeps; ``step_tol`` bounds the largest entry change
-    of any block, ``p`` or a channel, in a converged sweep.  The objective
-    drop a converged sweep may make and the "kl" smoothing are fixed at 1e-12.
+    ``max_iters`` counts sweeps.  The rest is fixed: a converged sweep moves
+    no entry of any block, ``p`` or a channel, by more than ``_STEP_TOL``
+    (1e-10) and lowers the objective by at most ``_OBJECTIVE_TOL`` (1e-12),
+    and the "kl" smoothing is ``_SMOOTHING_EPS`` (1e-12).
     """
 
     L: int
     objective: str = "l2sq"
     restarts: int = 16
     max_iters: int = 2000
-    step_tol: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
@@ -85,8 +86,6 @@ class InversionConfig:
             raise ValueError("need at least one restart")
         if int(self.max_iters) < 1:
             raise ValueError("need at least one iteration")
-        if not self.step_tol > 0.0:
-            raise ValueError("step tolerance must be positive")
         if not 0 <= int(self.seed) < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
 
@@ -236,7 +235,7 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
     sweep's movement and keeps it only if it strictly decreases the same
     canonical objective (monotone heavy-ball), which breaks the slow zigzag of
     plain alternation.  It stops at ``_FIT_FLOOR``, once a sweep moves no
-    block entry by more than ``step_tol`` nor the objective by more than
+    block entry by more than ``_STEP_TOL`` nor the objective by more than
     ``_OBJECTIVE_TOL``, or after ``max_iters`` sweeps.
     """
     kind = cfg.objective
@@ -270,7 +269,7 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
         prev = anchor
         trace.append(f_cur)
         if f_cur <= _FIT_FLOOR or (
-            move <= cfg.step_tol and (f_prev - f_cur) <= _OBJECTIVE_TOL
+            move <= _STEP_TOL and (f_prev - f_cur) <= _OBJECTIVE_TOL
         ):
             converged = True
             break
@@ -362,8 +361,10 @@ def canonicalize(system: DCSystem) -> DCSystem:
         )
 
     order = sorted(range(L), key=sort_key)
-    tau_inv = Permutation(tuple(i + 1 for i in order))
-    return permute_system(tau_inv.inverse(), system)
+    return DCSystem(
+        Distribution(system.p.probs[order]),
+        tuple(Channel(ch.entries[:, order]) for ch in system.channels),
+    )
 
 
 def align_permutation(p_true: Distribution, p_est: Distribution) -> Permutation:

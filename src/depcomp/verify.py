@@ -23,7 +23,6 @@ from .analysis import (
     kernels_equal,
     khatri_rao_power,
     mi_counterexample,
-    numerical_rank,
     pairwise_mutual_information,
     vanishing_infimum_demo,
 )
@@ -35,6 +34,7 @@ from .core import (
     Permutation,
     kl_divergence,
     lp_distance,
+    numerical_rank,
     output_distribution,
     permute_system,
 )
@@ -209,9 +209,9 @@ def _suite_fork(seed: int):
     combos = [(2, 2, 2), (2, 2, 3), (3, 3, 2), (3, 2, 3), (4, 2, 2), (4, 4, 3)]
     for i, (L, Lp, K) in enumerate(combos):
         system = random_system(L, Lp, K, seed + 300 + i)
-        checks.append((f"L={L} Lprime={Lp} K={K} screens off", conjunctive_fork_check(system, 1e-10)))
+        checks.append((f"L={L} Lprime={Lp} K={K} screens off", conjunctive_fork_check(system)))
     leaky = _leak_joint(random_system(2, 2, 2, seed + 400))
-    detected = conditionally_independent_given_cause(leaky, 1e-10)
+    detected = conditionally_independent_given_cause(leaky)
     checks.append(("leaky joint fails screening-off", detected if _fault("fork") else not detected))
     return checks
 

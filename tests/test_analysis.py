@@ -47,9 +47,19 @@ class TestNumericalRank:
         assert dc.numerical_rank(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])) == 1
 
     def test_tolerance_is_relative(self):
-        m = np.diag([1.0, 1e-12])
-        assert dc.numerical_rank(m) == 1
-        assert dc.numerical_rank(m, rel_tol=1e-15) == 2
+        # An absolute cutoff of 1e-9 would give rank 0 to the second matrix.
+        assert dc.numerical_rank(np.diag([1.0, 1e-12])) == 1
+        assert dc.numerical_rank(np.diag([1e-12, 1e-20])) == 2
+
+    def test_rank_tests_take_no_tolerance(self):
+        with pytest.raises(TypeError):
+            dc.numerical_rank(np.eye(2), 1e-15)
+        with pytest.raises(TypeError):
+            dc.activation_invertible(W_MIDPOINT, 2, tol=1e-3)
+        with pytest.raises(TypeError):
+            dc.min_activation_order(W_MIDPOINT, 3, tol=1e-3)
+        with pytest.raises(TypeError):
+            dc.kernels_equal([W_MIDPOINT, W_FOUR], tol=1e-3)
 
 
 class TestActivationInvertible:

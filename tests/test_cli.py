@@ -189,6 +189,15 @@ class TestInvert:
         doc = json.loads(out)
         assert "p_hat" in doc and "restart_log" in doc
 
+    def test_no_tol_flag(self, tmp_path):
+        q_path = tmp_path / "q.json"
+        save_tensor(q_path, dc.output_distribution(dc.random_system(2, 2, 3, 1)))
+        code, out, _ = run_cli(
+            "invert", "--q", str(q_path), "--L", "2", "--restarts", "1", "--max-iters", "1",
+            "--tol", "1e-8",
+        )
+        assert (code, out) == (64, "")
+
     def test_oversized_fit_exits_2(self, tmp_path):
         q_path = tmp_path / "q.json"
         save_tensor(q_path, dc.output_distribution(dc.random_system(2, 2, 3, 1)))
@@ -236,6 +245,19 @@ class TestCheck:
         code, out, _ = run_cli("check", "params", "--L", "2", "--K", "2")
         assert code == 0
         assert "infeasible" in out
+
+    def test_params_huge_L(self):
+        # The free-parameter count K(L - 1)L + L has about 5000 digits here.
+        L = "9" * 2500
+        start = time.perf_counter()
+        code, out, err = run_cli("check", "params", "--L", L, "--K", "1")
+        assert (code, err) == (0, "")
+        assert out.endswith(f"< free parameters 1*({L}-1)*{L}+{L}: infeasible\n")
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("what", ["activation", "kernels", "fork"])
+    def test_no_tol_flag(self, rect_path, what):
+        assert run_cli("check", what, "--system", str(rect_path), "--tol", "1e-9")[0] == 64
 
     def test_params_large_K(self):
         for K in ("5000", "1000000000000"):

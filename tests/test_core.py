@@ -382,3 +382,20 @@ class TestChannelInvertible:
         w = dc.Channel(np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]))
         with pytest.raises(ValueError):
             dc.channel_invertible(w)
+
+    def test_is_full_numerical_rank(self):
+        # Two near-singular channels on either side of the cutoff, then seeded
+        # square channels with one column pulled towards another so that the
+        # smallest singular value falls on both sides of it.
+        for eps, invertible in ((1e-6, True), (1e-12, False)):
+            w = dc.Channel(np.array([[0.5, 0.5 + eps], [0.5, 0.5 - eps]]))
+            assert dc.channel_invertible(w) is invertible
+            assert dc.core.numerical_rank(w.entries) == (2 if invertible else 1)
+        rng = np.random.default_rng(17)
+        for i in range(200):
+            L = 2 + i % 4
+            e = dc.random_channel(rng, L, L, min_column_gap=0.0).entries.copy()
+            t = 10.0 ** -(i % 14)
+            e[:, 0] = (1.0 - t) * e[:, 1] + t * e[:, 0]
+            w = dc.Channel(e)
+            assert dc.channel_invertible(w) == (dc.core.numerical_rank(w.entries) == w.inputs)
