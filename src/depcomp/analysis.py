@@ -12,6 +12,7 @@ apart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,11 +25,11 @@ from .core import (
     Distribution,
     JointTensor,
     channel_invertible,
+    check_dense_cells,
     column_gaps,
+    forward_law,
     khatri_rao,
-    kl_divergence,
     numerical_rank,
-    output_distribution,
 )
 from .sampling import random_channel
 
@@ -54,6 +55,7 @@ def khatri_rao_power(W: Channel, K: int) -> np.ndarray:
     """
     if K < 1:
         raise ValueError("power must be at least 1")
+    check_dense_cells(W.outputs**K * W.inputs, f"the {K}-fold column power")
     return khatri_rao([W.entries] * K)
 
 
@@ -280,9 +282,9 @@ def conjunctive_fork_check(system: DCSystem, tol: float = SCREENING_ATOL) -> boo
     if system.num_channels < 2:
         raise ValueError("screening-off needs at least two outputs")
     L = system.hidden_size
-    mats = [np.eye(L)] + [ch.entries for ch in system.channels]
-    flat = khatri_rao(mats) @ system.p.probs
     shape = (L,) + (system.output_size,) * system.num_channels
+    check_dense_cells(math.prod(shape), "the joint law of cause and outputs")
+    flat = forward_law(system.p.probs, [np.eye(L)] + [ch.entries for ch in system.channels])
     return conditionally_independent_given_cause(JointTensor(shape, flat), tol)
 
 
@@ -296,6 +298,14 @@ def vanishing_infimum_demo(
     distributions toward the same point mass as ``t -> 0``; the returned
     divergences D(theta(r) || theta(s)) in bits shrink accordingly even
     though ``r`` and ``s`` never move.
+
+    The laws are never subtracted.  The forward map is linear in the hidden
+    distribution, so ``d = theta(r - s)`` is the difference of the laws
+    without cancellation, and with ``b = theta(s)``, ``x = d / b`` the
+    divergence is ``sum b ((1 + x) log1p(x) - x) / ln 2``: equal to
+    ``sum a log2(a / b)`` because ``d`` sums to zero, and a sum of
+    nonnegative terms.  Both laws share their support, since ``r`` and
+    ``s`` are strictly positive and see the same channel.
     """
     if r.size != s.size:
         raise ValueError("distributions must share an alphabet")
@@ -304,6 +314,7 @@ def vanishing_infimum_demo(
     if K < 1:
         raise ValueError("need at least one channel")
     L = r.size
+    check_dense_cells(L**K * L, "the joint output law")
     out = []
     for t in t_values:
         t = float(t)
@@ -314,9 +325,12 @@ def vanishing_infimum_demo(
         ch = Channel(entries)
         if not channel_invertible(ch):
             raise ValueError(f"collapse channel at t={t} is numerically singular")
-        qr = output_distribution(DCSystem(r, (ch,) * K))
-        qs = output_distribution(DCSystem(s, (ch,) * K))
-        out.append(kl_divergence(qr, qs))
+        mats = [ch.entries] * K
+        b = forward_law(s.probs, mats)
+        d = forward_law(r.probs - s.probs, mats)
+        keep = b > 0.0
+        x = d[keep] / b[keep]
+        out.append(float(np.sum(b[keep] * ((1.0 + x) * np.log1p(x) - x)) / math.log(2.0)))
     return out
 
 

@@ -9,6 +9,10 @@ containers for the pieces (`Distribution`, `Channel`, `Permutation`,
 them: the forward map from a system to its joint output law, marginalisation,
 divergences, and the relabeling action that makes recovery ambiguous.
 
+The forward map, `forward_law`, unfolds the law into a matrix whose rows
+index the first half of the outputs and whose columns index the rest, and
+computes it as one product of two half-size Khatri-Rao factors.
+
 Symbols and axis labels are 1-based at the API surface (they name alphabet
 letters and agents); storage is ordinary 0-based numpy underneath.
 """
@@ -27,16 +31,22 @@ STOCHASTIC_ATOL = 1e-12
 TENSOR_MASS_ATOL = 1e-10
 # Relative singular-value cutoff of `numerical_rank`, the package's one rank test.
 SINGULAR_RTOL = 1e-9
-# Largest dense array (in cells) that joint laws, their Khatri-Rao forward
-# product and type counts may allocate: 2 GiB of float64.  The largest the
-# package is exercised at is a K = 11, L' = L = 4 forward product, 4^11 * 4
-# (about 1.7e7) cells.
+# Largest dense array (in cells) that joint laws, Khatri-Rao products and
+# type counts may allocate: 2 GiB of float64.  The forward map's largest
+# array is the law itself; at K = 11, L' = L = 4, the largest size the
+# package is exercised at, that is 4^11 (about 4.2e6) cells, where the full
+# Khatri-Rao product took 4^11 * 4 plus its partial products.
 MAX_DENSE_CELLS = 2**28
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    """Copy ``values`` into a read-only ndarray so containers stay immutable."""
-    arr = np.array(values, dtype=dtype)
+    """Copy ``values`` into a read-only, C-ordered ndarray.
+
+    Containers stay immutable, and one storage order means the same system
+    takes the same BLAS path, so its law does not depend on how the caller
+    laid out its arrays.
+    """
+    arr = np.array(values, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
 
@@ -306,6 +316,23 @@ def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
+def forward_law(weights: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
+    """The flat ``khatri_rao(mats) @ weights``, as one product of two factors.
+
+    With ``h = len(mats) // 2`` the law unfolds into a matrix whose rows index
+    the first ``h`` outputs and whose columns index the rest:
+    ``(khatri_rao(mats[:h]) * weights) @ khatri_rao(mats[h:]).T`` (the
+    unfolding of a rank-L CP tensor, Kolda & Bader 2009).  Its row-major
+    reshape is the flat layout of `JointTensor`.  The largest array is the
+    law or one of the two factors, never the full Khatri-Rao product; for
+    one matrix (``h = 0``) the left factor is ``weights`` as one row.
+    """
+    weights = np.asarray(weights, dtype=np.float64)
+    h = len(mats) // 2
+    left = khatri_rao(mats[:h]) * weights if h else weights[None, :]
+    return (left @ khatri_rao(mats[h:]).T).reshape(-1)
+
+
 def check_dense_cells(cells: int, what: str) -> None:
     """Refuse a dense array of more than ``MAX_DENSE_CELLS`` float64 cells.
 
@@ -336,11 +363,13 @@ def output_distribution(system: DCSystem) -> JointTensor:
 
     Entry ``(y_1, ..., y_K)`` equals ``sum_x p(x) * prod_k w_k(y_k | x)``:
     the tensor product of the channels applied to the diagonal embedding
-    of ``p``.
+    of ``p``.  `forward_law` computes it as one product of the first half's
+    Khatri-Rao factor, scaled by ``p``, with the second half's.  The guard
+    still counts the ``L'^K * L`` cells of the full Khatri-Rao product.
     """
     shape = tuple(ch.outputs for ch in system.channels)
     check_dense_cells(math.prod(shape) * system.hidden_size, "the joint output law")
-    flat = khatri_rao([ch.entries for ch in system.channels]) @ system.p.probs
+    flat = forward_law(system.p.probs, [ch.entries for ch in system.channels])
     return JointTensor(shape, flat)
 
 

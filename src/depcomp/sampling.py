@@ -164,8 +164,7 @@ def type_counts(batch: SampleBatch) -> EmpiricalCounts:
     cells = math.prod(shape)
     check_dense_cells(cells, "counting output tuples")
     flat_idx = np.ravel_multi_index(tuple((batch.records - 1).T), shape)
-    counts = np.bincount(flat_idx, minlength=cells).astype(np.int64)
-    return EmpiricalCounts(shape, counts, batch.n)
+    return EmpiricalCounts(shape, np.bincount(flat_idx, minlength=cells), batch.n)
 
 
 def ml_estimate(counts: EmpiricalCounts) -> JointTensor:

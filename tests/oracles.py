@@ -6,6 +6,7 @@ with the package, so tests compare the library against a second derivation
 rather than against itself.
 """
 
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -28,6 +29,33 @@ def joint_output(p, channels):
             total += term
         out[ys] = total
     return out
+
+
+def exact_output_kl_bits(r, s, channels, digits=50):
+    """D(theta(r) || theta(s)) in bits for exact rational laws of float inputs.
+
+    Every float in ``r``, ``s`` and the channels is read as the exact
+    rational it stores; the two laws are summed cell by cell in `Fraction`,
+    and the logarithms are taken in `decimal` at ``digits`` digits.
+    """
+    r = [Fraction(float(x)) for x in r]
+    s = [Fraction(float(x)) for x in s]
+    channels = [[[Fraction(float(v)) for v in row] for row in w] for w in channels]
+    ctx = decimal.Context(prec=digits)
+
+    def dec(f):
+        return ctx.divide(decimal.Decimal(f.numerator), decimal.Decimal(f.denominator))
+
+    total = decimal.Decimal(0)
+    for ys in itertools.product(*(range(len(w)) for w in channels)):
+        a = b = Fraction(0)
+        for x in range(len(r)):
+            term = math.prod((w[y][x] for w, y in zip(channels, ys)), start=Fraction(1))
+            a += r[x] * term
+            b += s[x] * term
+        if a > 0:
+            total = ctx.add(total, ctx.multiply(dec(a), ctx.ln(dec(a / b))))
+    return float(ctx.divide(total, ctx.ln(decimal.Decimal(2))))
 
 
 def marginal(arr, keep):

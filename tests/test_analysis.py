@@ -4,6 +4,7 @@ import pytest
 import depcomp as dc
 from oracles import (
     exact_column_power,
+    exact_output_kl_bits,
     exact_rank,
     joint_output,
     kl_bits,
@@ -342,17 +343,15 @@ class TestVanishingInfimum:
         assert vals == [0.0, 0.0]
 
     def test_decreasing_grid(self):
-        vals = dc.vanishing_infimum_demo(self.R, self.S, 3, [0.5, 0.1, 0.01, 0.001])
-        np.testing.assert_allclose(
-            vals,
-            [
-                0.08939605780097472,
-                0.017261764121768334,
-                0.0016461717778348062,
-                0.00016375799728803462,
-            ],
-            rtol=1e-12,
-        )
+        t_values = [0.5, 0.1, 0.01, 0.001]
+        vals = dc.vanishing_infimum_demo(self.R, self.S, 3, t_values)
+        want = []
+        for t in t_values:
+            # The demo's own float channel, read exactly by the oracle.
+            entries = t * np.eye(2)
+            entries[0, :] += 1.0 - t
+            want.append(exact_output_kl_bits(self.R.probs, self.S.probs, [entries] * 3))
+        np.testing.assert_allclose(vals, want, rtol=1e-12)
         assert all(v > 0.0 for v in vals)
         assert all(b < a for a, b in zip(vals, vals[1:]))
 

@@ -267,6 +267,31 @@ class TestCheck:
             assert out.endswith(f"10^{K} >= free parameters {int(K) * 90 + 10}: feasible\n")
             assert time.perf_counter() - start < 1.0
 
+    def test_activation_oversized_power_exits_2(self, tmp_path):
+        # Columns on the segment between u and v: the K-th power has rank
+        # K + 1 < 20, so the check reaches K = 3, whose 512^3 * 20 cells
+        # are refused before they are allocated.
+        u, v = np.random.default_rng(0).dirichlet(np.ones(512), size=2)
+        a = np.linspace(0.02, 0.98, 20)
+        segment = dc.Channel(np.outer(u, 1 - a) + np.outer(v, a))
+        sys_ = dc.DCSystem(dc.Distribution(np.full(20, 0.05)), (segment,))
+        path = tmp_path / "wide.json"
+        save_system(path, sys_)
+        start = time.perf_counter()
+        code, _, err = run_cli("check", "activation", "--system", str(path), "--Kmax", "5")
+        assert code == 2
+        assert "the 3-fold column power needs 2684354560 dense cells" in err
+        assert time.perf_counter() - start < 1.0
+
+    def test_fork_oversized_law_exits_2(self, tmp_path):
+        path = tmp_path / "system.json"
+        assert run_cli("gen", "--L", "4", "--K", "15", "--seed", "1", "--out", str(path))[0] == 0
+        start = time.perf_counter()
+        code, _, err = run_cli("check", "fork", "--system", str(path))
+        assert code == 2
+        assert "the joint law of cause and outputs needs 4294967296 dense cells" in err
+        assert time.perf_counter() - start < 1.0
+
     def test_mi(self, rect_path):
         code, out, _ = run_cli("check", "mi", "--system", str(rect_path))
         assert code == 0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -223,6 +225,23 @@ class TestOutputDistribution:
                     leg.values, sys_.channels[k - 1].entries @ sys_.p.probs,
                     atol=1e-12,
                 )
+
+    def test_law_does_not_depend_on_memory_layout(self):
+        # F-ordered and transposed-storage channels, and the F-ordered
+        # columns the identity relabeling gathers, give the same law bit
+        # for bit.
+        for L, Lp, K, seed in itertools.product((2, 3, 4), (2, 3, 4), range(1, 7), range(4)):
+            sys_ = dc.random_system(L, Lp, K, seed)
+            want = dc.output_distribution(sys_).values
+            fortran = tuple(dc.Channel(np.asfortranarray(w.entries)) for w in sys_.channels)
+            transposed = tuple(dc.Channel(w.entries.T.copy().T) for w in sys_.channels)
+            copies = (
+                dc.DCSystem(sys_.p, fortran),
+                dc.DCSystem(sys_.p, transposed),
+                dc.permute_system(dc.Permutation.identity(L), sys_),
+            )
+            for copy in copies:
+                assert np.array_equal(dc.output_distribution(copy).values, want), (L, Lp, K, seed)
 
     def test_refuses_oversized_law(self):
         # 2^40 * 2 cells: refused before anything is allocated.
