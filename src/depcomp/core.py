@@ -44,8 +44,19 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
 
     Containers stay immutable, and one storage order means the same system
     takes the same BLAS path, so its law does not depend on how the caller
-    laid out its arrays.
+    laid out its arrays.  An ndarray that is already read-only, C-ordered,
+    of ``dtype`` and owns its data is kept, not copied: the functions that
+    build a law or counts freeze the array they have just computed, and a
+    K = 11 law then costs no second 32 MB pass.
     """
+    if (
+        isinstance(values, np.ndarray)
+        and values.base is None
+        and not values.flags.writeable
+        and values.flags.c_contiguous
+        and values.dtype == dtype
+    ):
+        return values
     arr = np.array(values, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
@@ -198,11 +209,14 @@ class JointTensor:
             raise ValueError(
                 f"flat tensor of length {arr.size} does not match shape {shape!r}"
             )
-        if not np.all(np.isfinite(arr)):
+        # A finite sum means every value is finite, since an inf or a nan
+        # carries into it; only a sum that overflows needs the cellwise test.
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(arr.sum())
+        if not math.isfinite(total) and not np.all(np.isfinite(arr)):
             raise ValueError("tensor values must be finite")
-        if np.any(arr < 0.0):
+        if arr.min() < 0.0:
             raise ValueError("tensor values must be nonnegative")
-        total = float(arr.sum())
         if abs(total - 1.0) > TENSOR_MASS_ATOL:
             raise ValueError(f"tensor mass {total!r} is not 1 within {TENSOR_MASS_ATOL}")
         object.__setattr__(self, "shape", shape)
@@ -325,12 +339,17 @@ def forward_law(weights: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     unfolding of a rank-L CP tensor, Kolda & Bader 2009).  Its row-major
     reshape is the flat layout of `JointTensor`.  The largest array is the
     law or one of the two factors, never the full Khatri-Rao product; for
-    one matrix (``h = 0``) the left factor is ``weights`` as one row.
+    one matrix (``h = 0``) the left factor is ``weights`` as one row.  The
+    product is written straight into the returned flat array, which owns
+    its data, so a caller can freeze it and hand it to `JointTensor`.
     """
     weights = np.asarray(weights, dtype=np.float64)
     h = len(mats) // 2
     left = khatri_rao(mats[:h]) * weights if h else weights[None, :]
-    return (left @ khatri_rao(mats[h:]).T).reshape(-1)
+    right = khatri_rao(mats[h:])
+    law = np.empty(left.shape[0] * right.shape[0])
+    np.matmul(left, right.T, out=law.reshape(left.shape[0], right.shape[0]))
+    return law
 
 
 def check_dense_cells(cells: int, what: str) -> None:
@@ -370,6 +389,7 @@ def output_distribution(system: DCSystem) -> JointTensor:
     shape = tuple(ch.outputs for ch in system.channels)
     check_dense_cells(math.prod(shape) * system.hidden_size, "the joint output law")
     flat = forward_law(system.p.probs, [ch.entries for ch in system.channels])
+    flat.flags.writeable = False
     return JointTensor(shape, flat)
 
 

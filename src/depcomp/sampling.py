@@ -20,6 +20,7 @@ from .core import (
     DCSystem,
     Distribution,
     JointTensor,
+    _frozen_array,
     check_dense_cells,
     column_gaps,
     kl_divergence,
@@ -80,14 +81,13 @@ class EmpiricalCounts:
         arr = np.asarray(self.counts, dtype=np.int64)
         if arr.ndim != 1 or arr.size != math.prod(shape):
             raise ValueError(f"flat counts of length {arr.size} do not match shape {shape!r}")
-        if np.any(arr < 0):
+        if arr.min() < 0:
             raise ValueError("counts must be nonnegative")
-        if int(arr.sum()) != int(self.n):
-            raise ValueError(f"counts sum to {int(arr.sum())}, expected n={self.n}")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        total = int(arr.sum())
+        if total != int(self.n):
+            raise ValueError(f"counts sum to {total}, expected n={self.n}")
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "counts", arr)
+        object.__setattr__(self, "counts", _frozen_array(arr, np.int64))
         object.__setattr__(self, "n", int(self.n))
 
 
@@ -164,14 +164,18 @@ def type_counts(batch: SampleBatch) -> EmpiricalCounts:
     cells = math.prod(shape)
     check_dense_cells(cells, "counting output tuples")
     flat_idx = np.ravel_multi_index(tuple((batch.records - 1).T), shape)
-    return EmpiricalCounts(shape, np.bincount(flat_idx, minlength=cells), batch.n)
+    counts = np.bincount(flat_idx, minlength=cells)
+    counts.flags.writeable = False
+    return EmpiricalCounts(shape, counts, batch.n)
 
 
 def ml_estimate(counts: EmpiricalCounts) -> JointTensor:
     """Maximum-likelihood (empirical frequency) estimate of the joint law."""
     if counts.n < 1:
         raise ValueError("cannot estimate from zero records")
-    return JointTensor(counts.shape, counts.counts / counts.n)
+    q = counts.counts / counts.n
+    q.flags.writeable = False
+    return JointTensor(counts.shape, q)
 
 
 def typicality_test(q_hat: JointTensor, q: JointTensor, n: int) -> bool:

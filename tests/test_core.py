@@ -126,6 +126,30 @@ class TestJointTensor:
         with pytest.raises(ValueError):
             dc.JointTensor((2,), np.array([1.5, -0.5]))
 
+    def test_each_invalid_value_gets_its_own_message(self):
+        for values in ([np.nan, 1.0], [np.inf, 0.0], [np.inf, -np.inf], [np.nan, -1.0]):
+            with pytest.raises(ValueError, match="finite"):
+                dc.JointTensor((2,), np.array(values))
+        with pytest.raises(ValueError, match="nonnegative"):
+            dc.JointTensor((3,), np.array([1.5, -0.5, 0.0]))
+        # Every value finite, but the sum overflows: a mass error, as before.
+        with pytest.raises(ValueError, match="mass"):
+            dc.JointTensor((2,), np.array([1.7e308, 1.7e308]))
+
+    def test_frozen_array_is_kept_and_writable_array_is_copied(self):
+        frozen = np.array([0.25, 0.75])
+        frozen.flags.writeable = False
+        assert dc.JointTensor((2,), frozen).values is frozen
+        writable = np.array([0.25, 0.75])
+        t = dc.JointTensor((2,), writable)
+        writable[0] = 0.5
+        np.testing.assert_array_equal(t.values, [0.25, 0.75])
+        assert not t.values.flags.writeable
+        # A read-only view of a writable array is copied too.
+        view = np.array([0.25, 0.75])[:]
+        view.flags.writeable = False
+        assert dc.JointTensor((2,), view).values is not view
+
 
 class TestDCSystem:
     def test_properties(self):
@@ -174,6 +198,11 @@ def test_diag_embed():
 
 
 class TestOutputDistribution:
+    def test_law_is_read_only(self):
+        law = dc.output_distribution(dc.random_system(2, 3, 4, 7))
+        with pytest.raises(ValueError):
+            law.values[0] = 0.0
+
     def test_identity_channels_give_diagonal(self):
         p = dc.Distribution(np.array([0.7, 0.3]))
         ident = dc.Channel(np.eye(2))

@@ -31,6 +31,13 @@ class TestEmpiricalCounts:
         with pytest.raises(ValueError):
             dc.EmpiricalCounts((2,), np.array([-1, 4]), 3)
 
+    def test_caller_array_is_copied(self):
+        raw = np.array([2, 1])
+        counts = dc.EmpiricalCounts((2,), raw, 3)
+        raw[0] = 0
+        np.testing.assert_array_equal(counts.counts, [2, 1])
+        assert counts.counts.dtype == np.int64 and not counts.counts.flags.writeable
+
 
 class TestSampleDcs:
     def test_point_mass_identity_channels(self):
@@ -105,6 +112,13 @@ class TestTypeCounts:
         np.testing.assert_array_equal(
             dc.type_counts(b).counts, dc.type_counts(shuffled).counts
         )
+
+    def test_counts_and_estimate_are_read_only(self):
+        counts = dc.type_counts(dc.SampleBatch(2, np.array([[1, 2], [2, 2]])))
+        q = dc.ml_estimate(counts)
+        for arr in (counts.counts, q.values):
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
     def test_refuses_oversized_table(self):
         # 2^40 cells for a single record: refused before bincount allocates.
