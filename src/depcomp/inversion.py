@@ -6,15 +6,18 @@ stack reproducing it.  The fit objective is block-multiconvex: with all blocks
 but one frozen, the model is linear in the free block, so each block is a
 convex problem over a product of probability simplices.  Holding ``p`` as an
 (L, 1) column makes every block column-stochastic, so one projected-gradient
-step serves all of them.  A sweep takes exactly one backtracking step per
-block (hidden distribution first, then each channel) plus one extrapolation,
-accepting only strict decreases of one canonical objective evaluation, which
-makes the iteration monotone by construction.  A restart stops at the fit
-floor, on convergence (``_STEP_TOL`` bounds the largest entry change of any
-block), or after ``max_iters`` sweeps.  Multi-start over seeded restarts
-guards against the poor local minima any single start can hit; results are
-canonicalised to descending hidden mass so the permutation ambiguity cannot
-leak into comparisons.
+step serves all of them.  The solver has no forward map of its own: every
+full law it forms comes from `core.forward_law`, and a block's candidates
+are scored through the law's unfolding along one channel axis.  A sweep
+takes exactly one backtracking step per block (hidden distribution first,
+then each channel) plus one extrapolation, accepting only strict decreases
+of one canonical objective evaluation, which makes the iteration monotone by
+construction.  A restart stops at the fit floor, on convergence
+(``_STEP_TOL`` bounds the largest entry change of any block), or after
+``max_iters`` sweeps.  Multi-start over seeded restarts guards against the
+poor local minima any single start can hit; results are canonicalised to
+descending hidden mass so the permutation ambiguity cannot leak into
+comparisons.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .core import (
     Distribution,
     JointTensor,
     check_dense_cells,
+    forward_law,
     khatri_rao,
     output_distribution,
     Permutation,
@@ -170,35 +174,34 @@ def objective(candidate: DCSystem, q_hat: JointTensor, kind: str) -> float:
     return _objective_flat(model.values, q_hat.values, kind)
 
 
-def _forward(blocks: list) -> np.ndarray:
-    """Flat model law of the solver state ``[p as an (L, 1) column, W_1..W_K]``."""
-    return khatri_rao(blocks[1:]) @ blocks[0][:, 0]
-
-
 def _block_maps(blocks: list, i: int, shape: tuple):
     """Forward map and gradient pull-back of block ``i``, others frozen.
 
-    Every block's candidates are scored by the full forward product of
-    `_forward` (for ``p`` with the channels' Khatri-Rao product formed once),
-    so all blocks see bit-identical objective values and model laws: the law
-    of a block's accepted candidate is the one the next block starts from,
-    which lets `_solve_once` carry it instead of recomputing it, and the trace
-    is exactly non-increasing across blocks.
+    One path serves every block.  With ``k`` the block's channel axis (the
+    first channel for ``p``), the law's unfolding along ``k`` is
+    ``W_k @ (B * p).T = (W_k * p) @ B.T``, where ``B`` is the Khatri-Rao
+    product of the other channels, formed once per block visit; a
+    candidate's law is that product, with the candidate in place of ``W_k``
+    or ``p``, folded back to C order.  The pull-back of ``g`` starts from
+    ``D = unfold_k(g) @ B``: it is ``D * p`` for a channel and the column sums
+    of ``D * W_k`` for ``p``.  No array has the ``L'^K * L`` cells of the full
+    Khatri-Rao product.
     """
-    if i == 0:
-        M = khatri_rao(blocks[1:])
-        return (lambda X: M @ X[:, 0]), (lambda g: (M.T @ g)[:, None])
+    k = max(i - 1, 0)
+    p, W = blocks[0].T, blocks[k + 1]
+    others = blocks[1 : k + 1] + blocks[k + 2 :]
+    B = khatri_rao(others) if others else np.ones_like(p)
+    # Every axis has L' cells, so the unfolding reshapes to ``shape`` itself.
+    order = (k, *range(k), *range(k + 1, len(shape)))
+    back = (*range(1, k + 1), 0, *range(k + 1, len(shape)))
 
     def fwd(X):
-        return _forward(blocks[:i] + [X] + blocks[i + 1 :])
-
-    k = i - 1
-    others = blocks[1:i] + blocks[i + 1 :]
-    B = khatri_rao(others) if others else np.ones((1, blocks[0].shape[0]))
-    C = B * blocks[0].T
+        U = (W * X.T if i == 0 else X * p) @ B.T
+        return U.reshape(shape).transpose(back).ravel()
 
     def adj(g):
-        return np.moveaxis(g.reshape(shape), k, 0).reshape(shape[k], -1) @ C
+        D = g.reshape(shape).transpose(order).reshape(shape[k], -1) @ B
+        return (D * W).sum(axis=0)[:, None] if i == 0 else D * p
 
     return fwd, adj
 
@@ -206,11 +209,12 @@ def _block_maps(blocks: list, i: int, shape: tuple):
 def _descend(X, fwd, adj, q, m_cur, f_cur, kind, step):
     """One backtracking projected-gradient step on a column-stochastic block.
 
-    ``m_cur`` is the flat model law of the current state, ``fwd(X)``, and
-    ``f_cur`` its objective.  Halves the step from ``step`` until the
-    projected candidate strictly decreases the objective and returns the
-    first such candidate with its model law, objective, next step and largest
-    entry change; below ``_MIN_STEP`` the block comes back unchanged.
+    ``m_cur`` is the flat model law of the current state, ``fwd(X)`` up to
+    rounding, and ``f_cur`` its objective.  Halves the step from ``step``
+    until the projected candidate strictly decreases the objective and
+    returns the first such candidate with its model law, objective, next step
+    and largest entry change; below ``_MIN_STEP`` the block comes back
+    unchanged.
     """
     G = adj(_grad_flat(m_cur, q, kind))
     s = step
@@ -228,10 +232,13 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
     """Alternating block descent from one start; objective never increases.
 
     The state is one list of column-stochastic blocks, ``p`` as an (L, 1)
-    column followed by the channels, and ``m_cur`` is the flat model law of
-    the accepted state, so each block's gradient starts from it without a
-    forward product of its own.  One sweep takes one projected step per
-    block, in that order, then tries an extrapolated point along the last
+    column followed by the channels.  ``m_cur`` is the flat model law of the
+    accepted state: `core.forward_law` at the start and at an accepted
+    extrapolation, else the law `_block_maps` gave the last accepted block
+    candidate, which agrees with `core.forward_law` up to rounding.  Each
+    block's gradient starts from it, and since only strict decreases are
+    accepted the trace never increases.  One sweep takes one projected step
+    per block, in that order, then tries an extrapolated point along the last
     sweep's movement and keeps it only if it strictly decreases the same
     canonical objective (monotone heavy-ball), which breaks the slow zigzag of
     plain alternation.  It stops at ``_FIT_FLOOR``, once a sweep moves no
@@ -239,7 +246,7 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
     ``_OBJECTIVE_TOL``, or after ``max_iters`` sweeps.
     """
     kind = cfg.objective
-    m_cur = _forward(blocks)
+    m_cur = forward_law(blocks[0][:, 0], blocks[1:])
     f_cur = _objective_flat(m_cur, q, kind)
     trace = [f_cur]
     steps = [1.0] * len(blocks)
@@ -258,7 +265,7 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
             move = max(move, d)
         if prev is not None:
             ex = [_project_cols(X + gamma * (X - X_old)) for X, X_old in zip(blocks, prev)]
-            m_ex = _forward(ex)
+            m_ex = forward_law(ex[0][:, 0], ex[1:])
             f_ex = _objective_flat(m_ex, q, kind)
             if f_ex < f_cur:
                 move = max(move, *(float(np.max(np.abs(E - X))) for E, X in zip(ex, blocks)))
@@ -300,7 +307,7 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
     """
     if len(set(q_hat.shape)) != 1:
         raise ValueError("all observation axes must share one output alphabet")
-    check_dense_cells(q_hat.values.size * config.L, "the solver's forward product")
+    check_dense_cells(q_hat.values.size * config.L, "the solver's fit")
     Lp = q_hat.shape[0]
     K = q_hat.axes
     if K < 3:

@@ -137,13 +137,15 @@ def sample_dcs(system: DCSystem, n: int, seed: int, _chunk: int = 1 << 15) -> Sa
     Record ``t`` (1-based) draws one hidden symbol from ``p`` and passes it
     through each channel, using uniforms ``t``'s own stream block, so the
     result is reproducible bit-for-bit for a given ``(system, n, seed)`` and
-    independent of chunking.
+    independent of chunking.  An ``n * K`` record table larger than
+    ``MAX_DENSE_CELLS`` is refused before it is allocated.
     """
     if int(n) < 1:
         raise ValueError("need at least one record")
     n = int(n)
     seed = _check_seed(seed)
     K = system.num_channels
+    check_dense_cells(n * K, f"sampling {n} records")
     width = _record_width(K)
     cum_p = _cumulative_columns(system.p.probs[:, None])  # (L, 1)
     cum_w = [_cumulative_columns(ch.entries) for ch in system.channels]
@@ -228,10 +230,12 @@ def random_system(
     Dirichlet noise ``N``, so their identity part keeps them invertible;
     rectangular ones come from `random_channel` with its default column gap.
     ``min_mass`` and ``min_gap`` impose a floor on the smallest hidden mass
-    and on gaps between sorted masses.
+    and on gaps between sorted masses.  A channel stack of more than
+    ``MAX_DENSE_CELLS`` entries is refused before anything is drawn.
     """
     if L < 1 or Lprime < 1 or K < 1:
         raise ValueError("alphabet sizes and channel count must be at least 1")
+    check_dense_cells(K * Lprime * L, "the channel stack")
     rng = Generator(Philox(key=_check_seed(seed)))
     p = None
     for _ in range(1000):

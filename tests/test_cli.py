@@ -23,6 +23,17 @@ def run_cli(*args):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_module(*args, timeout):
+    """Run ``python -m depcomp.cli`` in a child process, killed after ``timeout`` s."""
+    src = str(Path(dc.__file__).resolve().parents[1])
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.run(
+        [sys.executable, "-m", "depcomp.cli", *args],
+        capture_output=True, text=True, env=env, timeout=timeout,
+    )
+
+
 class TestUsageErrors:
     def test_no_command(self):
         assert run_cli()[0] == 64
@@ -93,6 +104,24 @@ class TestGen:
         assert "1000 draws" in err
         assert not path.exists()
 
+    def test_oversized_alphabet_exits_2(self, tmp_path):
+        path = tmp_path / "s.json"
+        start = time.perf_counter()
+        code, _, err = run_cli("gen", "--L", "1000000", "--K", "3", "--out", str(path))
+        assert code == 2
+        assert "the channel stack needs 3000000000000 dense cells" in err
+        assert time.perf_counter() - start < 1.0
+        assert not path.exists()
+
+    def test_oversized_channel_count_exits_2(self, tmp_path):
+        # Unguarded, the channel loop runs without bound; the child process
+        # is killed if it outlives the timeout.
+        path = tmp_path / "s.json"
+        proc = run_module("gen", "--L", "2", "--K", "1000000000000", "--out", str(path), timeout=2)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "the channel stack needs 4000000000000 dense cells" in proc.stderr
+        assert not path.exists()
+
 
 class TestSimulateEstimate:
     @pytest.fixture()
@@ -107,6 +136,15 @@ class TestSimulateEstimate:
         assert load_samples(a).n == 1000
         run_cli("simulate", "--system", str(system_path), "--n", "1000", "--seed", "5", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_simulate_oversized_sample_exits_2(self, tmp_path, system_path):
+        out = tmp_path / "samples.csv"
+        start = time.perf_counter()
+        code, _, err = run_cli("simulate", "--system", str(system_path), "--n", "1000000000000", "--out", str(out))
+        assert code == 2
+        assert "sampling 1000000000000 records needs 3000000000000 dense cells" in err
+        assert time.perf_counter() - start < 1.0
+        assert not out.exists()
 
     def test_estimate_oversized_table_exits_2(self, tmp_path):
         samples = tmp_path / "wide.csv"
@@ -203,7 +241,7 @@ class TestInvert:
         save_tensor(q_path, dc.output_distribution(dc.random_system(2, 2, 3, 1)))
         code, out, err = run_cli("invert", "--q", str(q_path), "--L", "1000000000000")
         assert (code, out) == (2, "")
-        assert "the solver's forward product needs 8000000000000 dense cells" in err
+        assert "the solver's fit needs 8000000000000 dense cells" in err
 
 
 class TestCheck:
@@ -307,13 +345,7 @@ class TestVerify:
 
     def test_module_entry_point_runs(self):
         # `python -m depcomp.cli` must run the verb, not just import the module.
-        src = str(Path(dc.__file__).resolve().parents[1])
-        paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-        proc = subprocess.run(
-            [sys.executable, "-m", "depcomp.cli", "verify", "--suite", "gap", "--seed", "1"],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        proc = run_module("verify", "--suite", "gap", "--seed", "1", timeout=120)
         assert proc.returncode == 0
         assert "suite gap: PASS" in proc.stdout
 

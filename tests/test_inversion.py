@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import depcomp as dc
+from depcomp.core import forward_law
+from depcomp.inversion import _block_maps
 from oracles import best_relabeling, nearest_simplex_point
 
 IDENT2 = dc.Channel(np.eye(2))
@@ -85,6 +87,29 @@ class TestObjective:
         bad_shape = dc.JointTensor((2, 2), np.full(4, 0.25))
         with pytest.raises(ValueError):
             dc.objective(self.sys, bad_shape, "l2sq")
+
+
+class TestBlockMaps:
+    @pytest.mark.parametrize("L, Lp", [(3, 2), (2, 3)], ids=["narrow", "wide"])
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    def test_maps_match_forward_law_and_are_adjoint(self, K, L, Lp):
+        # Every block's map is the law of the state with that block replaced,
+        # and its pull-back is the map's adjoint: <adj(g), Y> = <g, fwd(Y)>.
+        rng = np.random.default_rng(10 * K + L)
+        shape = (Lp,) * K
+        blocks = [rng.dirichlet(np.ones(L))[:, None]]
+        blocks += [rng.dirichlet(np.ones(Lp), size=L).T for _ in range(K)]
+        for i, block in enumerate(blocks):
+            fwd, adj = _block_maps(blocks, i, shape)
+            X = rng.dirichlet(np.ones(block.shape[0]), size=block.shape[1]).T
+            state = blocks[:i] + [X] + blocks[i + 1 :]
+            np.testing.assert_allclose(
+                fwd(X), forward_law(state[0][:, 0], state[1:]), rtol=0.0, atol=1e-15
+            )
+            g, Y = rng.normal(size=Lp**K), rng.normal(size=block.shape)
+            pulled = adj(g)
+            assert pulled.shape == block.shape
+            assert np.sum(pulled * Y) == pytest.approx(g @ fwd(Y), rel=1e-12)
 
 
 class TestInversionConfig:
@@ -220,7 +245,9 @@ class TestRecoverSystem:
         assert np.abs(res.p_hat.probs - canon.p.probs).sum() <= 1e-2
 
     @pytest.mark.parametrize(
-        "kind, L, Lp", [("l1", 2, 2), ("l2sq", 2, 3)], ids=["l1", "rectangular"]
+        "kind, L, Lp",
+        [("l1", 2, 2), ("l2sq", 2, 3), ("kl", 2, 2), ("l2sq", 3, 2)],
+        ids=["l1", "rectangular", "kl", "narrow"],
     )
     def test_fit_properties(self, kind, L, Lp):
         truth = dc.random_system(L, Lp, 3, 21)
