@@ -10,14 +10,14 @@ step serves all of them.  The solver has no forward map of its own: every
 full law it forms comes from `core.forward_law`, and a block's candidates
 are scored through the law's unfolding along one channel axis.  A sweep
 takes exactly one backtracking step per block (hidden distribution first,
-then each channel) plus one extrapolation, accepting only strict decreases
-of one canonical objective evaluation, which makes the iteration monotone by
-construction.  A restart stops at the fit floor, on convergence
-(``_STEP_TOL`` bounds the largest entry change of any block), or after
-``max_iters`` sweeps.  Multi-start over seeded restarts guards against the
-poor local minima any single start can hit; results are canonicalised to
-descending hidden mass so the permutation ambiguity cannot leak into
-comparisons.
+then each channel), each starting afresh at step 1, plus one extrapolation,
+accepting only strict decreases of one canonical objective evaluation, which
+makes the iteration monotone by construction.  A restart stops at the fit
+floor, on convergence (``_STEP_TOL`` bounds the largest entry change of any
+block), or after ``max_iters`` sweeps.  Multi-start over seeded restarts
+guards against the poor local minima any single start can hit; results are
+canonicalised to descending hidden mass so the permutation ambiguity cannot
+leak into comparisons.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ OBJECTIVE_KINDS = ("kl", "l1", "l2sq")
 BOUNDARY_MASS = 1e-6
 
 _MIN_STEP = 1e-18
-_MAX_STEP = 1e6
 _LN2 = float(np.log(2.0))
 
 # Once a fit is this good the target is matched far below every tolerance the
@@ -117,15 +116,15 @@ class InversionResult:
 
 
 def _project_cols(V: np.ndarray) -> np.ndarray:
-    """Column-wise Euclidean projection onto the probability simplex."""
-    rows = V.shape[0]
-    u = -np.sort(-V, axis=0)
-    css = np.cumsum(u, axis=0)
-    ks = np.arange(1, rows + 1)[:, None]
-    cond = u - (css - 1.0) / ks > 0.0
-    rho = rows - 1 - np.argmax(cond[::-1, :], axis=0)
-    lam = (css[rho, np.arange(V.shape[1])] - 1.0) / (rho + 1.0)
-    return np.maximum(V - lam[None, :], 0.0)
+    """Column-wise Euclidean projection onto the probability simplex.
+
+    Each column's threshold is ``max_k (cumsum_k(sorted column) - 1) / k``
+    (Duchi et al. 2008): the largest of those ratios is the one at the
+    support size of the projection.
+    """
+    css = np.cumsum(-np.sort(-V, axis=0), axis=0)
+    lam = np.max((css - 1.0) / np.arange(1, V.shape[0] + 1)[:, None], axis=0)
+    return np.maximum(V - lam, 0.0)
 
 
 def project_simplex(v) -> Distribution:
@@ -206,26 +205,28 @@ def _block_maps(blocks: list, i: int, shape: tuple):
     return fwd, adj
 
 
-def _descend(X, fwd, adj, q, m_cur, f_cur, kind, step):
+def _descend(X, fwd, adj, q, m_cur, f_cur, kind):
     """One backtracking projected-gradient step on a column-stochastic block.
 
     ``m_cur`` is the flat model law of the current state, ``fwd(X)`` up to
-    rounding, and ``f_cur`` its objective.  Halves the step from ``step``
-    until the projected candidate strictly decreases the objective and
-    returns the first such candidate with its model law, objective, next step
-    and largest entry change; below ``_MIN_STEP`` the block comes back
-    unchanged.
+    rounding, and ``f_cur`` its objective.  Every visit starts at step 1 and
+    halves it until the projected candidate strictly decreases the objective;
+    the first such candidate comes back with its model law, objective and
+    largest entry change.  Below ``_MIN_STEP`` the block comes back
+    unchanged.  Under "l2sq" a channel's curvature along each output row is
+    ``2 diag(p) B^T B diag(p)``, whose trace is at most ``2 sum_c p_c^2 <= 2``,
+    so step 1 is usually accepted at once.
     """
     G = adj(_grad_flat(m_cur, q, kind))
-    s = step
+    s = 1.0
     while s > _MIN_STEP:
         cand = _project_cols(X - s * G)
         m_new = fwd(cand)
         f_new = _objective_flat(m_new, q, kind)
         if f_new < f_cur:
-            return cand, m_new, f_new, min(s * 2.0, _MAX_STEP), float(np.max(np.abs(cand - X)))
+            return cand, m_new, f_new, float(np.max(np.abs(cand - X)))
         s *= 0.5
-    return X, m_cur, f_cur, step, 0.0
+    return X, m_cur, f_cur, 0.0
 
 
 def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
@@ -238,10 +239,11 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
     candidate, which agrees with `core.forward_law` up to rounding.  Each
     block's gradient starts from it, and since only strict decreases are
     accepted the trace never increases.  One sweep takes one projected step
-    per block, in that order, then tries an extrapolated point along the last
-    sweep's movement and keeps it only if it strictly decreases the same
-    canonical objective (monotone heavy-ball), which breaks the slow zigzag of
-    plain alternation.  It stops at ``_FIT_FLOOR``, once a sweep moves no
+    per block, in that order, each backtracking from step 1 with no step
+    carried over from earlier sweeps, then tries an extrapolated point along
+    the last sweep's movement and keeps it only if it strictly decreases the
+    same canonical objective (monotone heavy-ball), which breaks the slow
+    zigzag of plain alternation.  It stops at ``_FIT_FLOOR``, once a sweep moves no
     block entry by more than ``_STEP_TOL`` nor the objective by more than
     ``_OBJECTIVE_TOL``, or after ``max_iters`` sweeps.
     """
@@ -249,7 +251,6 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
     m_cur = forward_law(blocks[0][:, 0], blocks[1:])
     f_cur = _objective_flat(m_cur, q, kind)
     trace = [f_cur]
-    steps = [1.0] * len(blocks)
     gamma = 1.0
     prev = None
     converged = False
@@ -259,9 +260,7 @@ def _solve_once(q, shape, blocks: list, cfg: InversionConfig):
         move = 0.0
         for i in range(len(blocks)):
             fwd, adj = _block_maps(blocks, i, shape)
-            blocks[i], m_cur, f_cur, steps[i], d = _descend(
-                blocks[i], fwd, adj, q, m_cur, f_cur, kind, steps[i]
-            )
+            blocks[i], m_cur, f_cur, d = _descend(blocks[i], fwd, adj, q, m_cur, f_cur, kind)
             move = max(move, d)
         if prev is not None:
             ex = [_project_cols(X + gamma * (X - X_old)) for X, X_old in zip(blocks, prev)]

@@ -117,6 +117,18 @@ def _as_int(value, what: str) -> int:
     return value
 
 
+def _numbers(items, what: str, kinds=(int, float)) -> list:
+    """``items`` if it is a list whose entries are all JSON numbers of ``kinds``.
+
+    Booleans, strings, objects and nulls are refused, not coerced: JSON's
+    ``true`` loads as a Python ``bool``, which is an ``int`` to `isinstance`
+    and to numpy.
+    """
+    if not isinstance(items, list) or not set(map(type, items)) <= set(kinds):
+        raise ValueError(f"{what} must be a list of {'integers' if kinds == (int,) else 'reals'}")
+    return items
+
+
 def system_document(system: DCSystem) -> dict:
     return {
         "L": system.hidden_size,
@@ -138,9 +150,9 @@ def load_system(path) -> DCSystem:
     L = _as_int(doc["L"], "L")
     Lprime = _as_int(doc["Lprime"], "Lprime")
     K = _as_int(doc["K"], "K")
-    p = doc["p"]
+    p = _numbers(doc["p"], "system file: p")
     channels = doc["channels"]
-    if not isinstance(p, list) or len(p) != L:
+    if len(p) != L:
         raise ValueError(f"system file: p must be a list of L={L} reals")
     if not isinstance(channels, list) or len(channels) != K:
         raise ValueError(f"system file: channels must list K={K} matrices")
@@ -152,6 +164,8 @@ def load_system(path) -> DCSystem:
             or any(not isinstance(row, list) or len(row) != L for row in mat)
         ):
             raise ValueError(f"system file: channel {k} must be {Lprime} rows x {L} columns")
+        for row in mat:
+            _numbers(row, f"system file: each row of channel {k}")
         built.append(Channel(np.array(mat, dtype=np.float64)))
     return DCSystem(Distribution(np.array(p, dtype=np.float64)), tuple(built))
 
@@ -164,12 +178,8 @@ def load_tensor(path) -> JointTensor:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     _require_keys(doc, ("shape", "values"), "tensor file")
-    shape = doc["shape"]
-    values = doc["values"]
-    if not isinstance(shape, list) or not all(isinstance(s, int) for s in shape):
-        raise ValueError("tensor file: shape must be a list of integers")
-    if not isinstance(values, list):
-        raise ValueError("tensor file: values must be a list of reals")
+    shape = _numbers(doc["shape"], "tensor file: shape", (int,))
+    values = _numbers(doc["values"], "tensor file: values")
     return JointTensor(tuple(shape), np.array(values, dtype=np.float64))
 
 

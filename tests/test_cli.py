@@ -337,6 +337,49 @@ class TestCheck:
         assert len([ln for ln in out.splitlines() if ln.startswith("    ")]) == 3
 
 
+class TestNonNumericCells:
+    """Document cells must be JSON numbers; anything else exits 2 naming the file kind."""
+
+    @pytest.fixture()
+    def system_doc(self, tmp_path):
+        path = tmp_path / "system.json"
+        assert run_cli("gen", "--L", "2", "--K", "3", "--seed", "1", "--out", str(path))[0] == 0
+        return json.loads(path.read_text())
+
+    def run_with(self, tmp_path, doc, *args):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        return run_cli(*args, str(path))
+
+    def check_fork(self, tmp_path, doc):
+        return self.run_with(tmp_path, doc, "check", "fork", "--system")
+
+    def invert(self, tmp_path, doc, L):
+        return self.run_with(tmp_path, doc, "invert", "--L", str(L), "--restarts", "1", "--q")
+
+    def test_object_cell_exits_2(self, tmp_path, system_doc):
+        values = [{"x": 0}] + [1 / 7] * 7
+        code, out, err = self.invert(tmp_path, {"shape": [2, 2, 2], "values": values}, 2)
+        assert (code, out) == (2, "") and "tensor file: values" in err
+        system_doc["channels"][0][0][0] = {"x": 0}
+        code, out, err = self.check_fork(tmp_path, system_doc)
+        assert (code, out) == (2, "") and "system file: each row of channel 1" in err
+
+    def test_string_cell_exits_2(self, tmp_path, system_doc):
+        code, out, err = self.invert(tmp_path, {"shape": [2, 2, 2], "values": ["0.125"] * 8}, 2)
+        assert (code, out) == (2, "") and "tensor file: values" in err
+        system_doc["p"] = ["0.5", "0.5"]
+        code, out, err = self.check_fork(tmp_path, system_doc)
+        assert (code, out) == (2, "") and "system file: p" in err
+
+    def test_boolean_cell_exits_2(self, tmp_path, system_doc):
+        code, out, err = self.invert(tmp_path, {"shape": [True] * 3, "values": [1.0]}, 1)
+        assert (code, out) == (2, "") and "tensor file: shape" in err
+        system_doc["p"] = [True, False]
+        code, out, err = self.check_fork(tmp_path, system_doc)
+        assert (code, out) == (2, "") and "system file: p" in err
+
+
 class TestVerify:
     def test_single_suite_passes(self):
         code, out, _ = run_cli("verify", "--suite", "gap", "--seed", "1")

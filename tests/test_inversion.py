@@ -43,6 +43,10 @@ class TestProjectSimplex:
             want = nearest_simplex_point(v, step=1e-3)
             assert np.abs(got - want).max() <= 2e-3
 
+    def test_rounding_level_negatives_project_to_exact_zeros(self):
+        v = [-1.6914027236846311e-16, 0.9999999999999999, -1.6777640707363105e-16]
+        assert dc.project_simplex(v).probs.tolist() == [0.0, 1.0, 0.0]
+
     def test_idempotent_and_valid(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -235,6 +239,16 @@ class TestRecoverSystem:
         # Both constructions sit at (numerically) zero objective themselves.
         assert dc.objective(witness.first, q, "l2sq") < 1e-9
         assert dc.objective(witness.second, q, "l2sq") < 1e-9
+
+    def test_near_boundary_sample_law_converges(self):
+        # Criterion 10's seed 0: true p = [0.992, 0.008], estimated from 1e5
+        # records, so the fit floor is out of reach and a restart has to
+        # converge near the simplex boundary within the sweep budget.
+        batch = dc.sample_dcs(dc.random_system(2, 2, 3, 0), 100_000, 1000)
+        q = dc.ml_estimate(dc.type_counts(batch))
+        res = dc.recover_system(q, dc.InversionConfig(L=2, restarts=8, seed=0))
+        assert res.objective_value < 3e-7
+        assert any(entry.converged for entry in res.restart_log)
 
     def test_kl_objective_also_recovers(self):
         truth, q = exact_law(3, L=2, min_mass=0.15)
