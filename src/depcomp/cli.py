@@ -12,6 +12,7 @@ verify suite, 64 usage error (missing or contradictory flags).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__
@@ -226,10 +227,16 @@ def _cmd_verify(args) -> int:
     return 3 if any_failed else 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: building the tree costs far more than a parse,
+    and parsing leaves nothing behind in the parser."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

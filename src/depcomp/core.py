@@ -316,17 +316,21 @@ def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
 
     Column ``j`` of the result is the Kronecker product of the ``j``-th
     columns of the inputs, with earlier matrices varying slowest -- matching
-    the row-major flat layout of `JointTensor`.
+    the row-major flat layout of `JointTensor`.  The inputs may carry one
+    leading stack axis, shared by all of them; each stack slice then gets
+    its own product, computed exactly as the 2-D call would.
     """
     mats = [np.asarray(m, dtype=np.float64) for m in mats]
     if len(mats) == 0:
         raise ValueError("need at least one matrix")
-    cols = {m.shape[1] for m in mats}
-    if len(cols) != 1:
-        raise ValueError(f"column counts differ: {sorted(cols)}")
     acc = mats[0]
+    lead, cols = acc.shape[:-2], acc.shape[-1]
     for m in mats[1:]:
-        acc = (acc[:, None, :] * m[None, :, :]).reshape(-1, acc.shape[1])
+        if m.shape[-1] != cols:
+            raise ValueError(f"column counts differ: {cols} and {m.shape[-1]}")
+        if len(lead) > 1 or m.shape[:-2] != lead:
+            raise ValueError("matrices must be 2-D, or 3-D with one shared stack axis")
+        acc = (acc[..., :, None, :] * m[..., None, :, :]).reshape(*lead, -1, cols)
     return acc
 
 
@@ -342,13 +346,17 @@ def forward_law(weights: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
     one matrix (``h = 0``) the left factor is ``weights`` as one row.  The
     product is written straight into the returned flat array, which owns
     its data, so a caller can freeze it and hand it to `JointTensor`.
+    Stacked input -- ``weights`` of shape ``(R, L)`` and matrices of shape
+    ``(R, L', L)`` -- gives an ``(R, cells)`` stack of laws, each slice
+    equal bit for bit to the law of that slice alone.
     """
     weights = np.asarray(weights, dtype=np.float64)
     h = len(mats) // 2
-    left = khatri_rao(mats[:h]) * weights if h else weights[None, :]
+    left = khatri_rao(mats[:h]) * weights[..., None, :] if h else weights[..., None, :]
     right = khatri_rao(mats[h:])
-    law = np.empty(left.shape[0] * right.shape[0])
-    np.matmul(left, right.T, out=law.reshape(left.shape[0], right.shape[0]))
+    lead = weights.shape[:-1]
+    law = np.empty((*lead, left.shape[-2] * right.shape[-2]))
+    np.matmul(left, right.swapaxes(-1, -2), out=law.reshape(*lead, left.shape[-2], right.shape[-2]))
     return law
 
 

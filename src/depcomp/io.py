@@ -295,6 +295,7 @@ def result_document(result: InversionResult, config: InversionConfig) -> dict:
                 "objective": entry.objective,
                 "iterations": entry.iterations,
                 "converged": entry.converged,
+                "stop_reason": entry.stop_reason,
             }
             for entry in result.restart_log
         ],

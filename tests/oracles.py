@@ -92,23 +92,27 @@ def mutual_information_bits(joint2d):
 
 
 def nearest_simplex_point(v, step=1e-4):
-    """Brute-force grid search for the Euclidean projection, L in {2, 3}."""
+    """Brute-force grid search for the Euclidean projection, L in {2, 3}.
+
+    The candidates are the grid points ``(a, 1 - a)``, or ``(a, b, 1 - a - b)``
+    with ``a + b <= 1`` in ``a``-major order; the first at the least squared
+    distance wins.
+    """
     v = np.asarray(v, dtype=float)
     grid = np.arange(0.0, 1.0 + step, step)
-    best, best_d = None, math.inf
     if v.size == 2:
-        candidates = ((a, 1.0 - a) for a in grid)
+        cands = np.stack([grid, 1.0 - grid], axis=1)
     elif v.size == 3:
-        candidates = (
-            (a, b, 1.0 - a - b) for a in grid for b in grid if a + b <= 1.0
-        )
+        a, b = (x.ravel() for x in np.meshgrid(grid, grid, indexing="ij"))
+        inside = a + b <= 1.0
+        a, b = a[inside], b[inside]
+        cands = np.stack([a, b, 1.0 - a - b], axis=1)
     else:
         raise ValueError("grid oracle only written for L in {2, 3}")
-    for cand in candidates:
-        d = sum((c - x) ** 2 for c, x in zip(cand, v))
-        if d < best_d:
-            best, best_d = cand, d
-    return np.array(best)
+    d = (cands[:, 0] - v[0]) ** 2
+    for i in range(1, v.size):
+        d = d + (cands[:, i] - v[i]) ** 2
+    return cands[np.argmin(d)]
 
 
 def exact_rank(rows):

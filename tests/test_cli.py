@@ -185,6 +185,17 @@ class TestSimulateEstimate:
         assert q.shape == want.shape
         np.testing.assert_array_equal(q.values, want.values)
 
+    def test_calls_in_a_row_do_not_share_flags(self, tmp_path, system_path):
+        # main parses with one parser per process; a flag given to one call
+        # must not carry over to the next call that omits it.
+        samples = tmp_path / "samples.csv"
+        run_cli("simulate", "--system", str(system_path), "--n", "200", "--seed", "3", "--out", str(samples))
+        wide, plain = tmp_path / "wide.json", tmp_path / "plain.json"
+        assert run_cli("estimate", "--samples", str(samples), "--Lprime", "3", "--out", str(wide))[0] == 0
+        assert run_cli("estimate", "--samples", str(samples), "--out", str(plain))[0] == 0
+        assert load_tensor(wide).shape == (3, 3, 3)
+        assert load_tensor(plain).shape == (2, 2, 2)
+
 
 class TestInvert:
     def test_exact_law_reaches_floor(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import depcomp as dc
+from depcomp.core import forward_law
 from oracles import joint_output, kl_bits, marginal
 
 # Hand-checkable two-bit example used across several tests: hidden bit with
@@ -271,6 +272,27 @@ class TestOutputDistribution:
             )
             for copy in copies:
                 assert np.array_equal(dc.output_distribution(copy).values, want), (L, Lp, K, seed)
+
+    def test_stacked_law_is_each_slice_law(self):
+        # A leading stack axis gives each slice's own law, bit for bit.
+        rng = np.random.default_rng(18)
+        for K in (1, 2, 3, 4):
+            weights = rng.dirichlet(np.ones(3), size=4)
+            mats = [rng.dirichlet(np.ones(2), size=(4, 3)).swapaxes(1, 2) for _ in range(K)]
+            laws = forward_law(weights, mats)
+            kr = dc.khatri_rao(mats)
+            assert laws.shape == (4, 2**K) and kr.shape == (4, 2**K, 3)
+            for r in range(4):
+                np.testing.assert_array_equal(laws[r], forward_law(weights[r], [m[r] for m in mats]))
+                np.testing.assert_array_equal(kr[r], dc.khatri_rao([m[r] for m in mats]))
+
+    def test_khatri_rao_rejects_mismatched_stacks(self):
+        with pytest.raises(ValueError, match="column counts differ"):
+            dc.khatri_rao([np.ones((2, 3)), np.ones((2, 2))])
+        with pytest.raises(ValueError, match="stack axis"):
+            dc.khatri_rao([np.ones((2, 2, 3)), np.ones((3, 2, 3))])
+        with pytest.raises(ValueError, match="stack axis"):
+            dc.khatri_rao([np.ones((2, 3)), np.ones((1, 2, 3))])
 
     def test_refuses_oversized_law(self):
         # 2^40 * 2 cells: refused before anything is allocated.

@@ -7,7 +7,8 @@ import pytest
 
 import depcomp as dc
 from depcomp.core import forward_law
-from depcomp.inversion import _block_maps
+from depcomp import core
+from depcomp.inversion import _block_maps, _others_product
 from oracles import best_relabeling, nearest_simplex_point
 
 IDENT2 = dc.Channel(np.eye(2))
@@ -34,6 +35,23 @@ class TestProjectSimplex:
         np.testing.assert_allclose(
             dc.project_simplex(np.array([0.6, 0.6])).probs, [0.5, 0.5], atol=1e-15
         )
+
+    def test_grid_oracle_matches_its_loop(self):
+        # The vectorised grid oracle against the plain loop over the same
+        # candidates, first minimum winning, on a coarse grid.
+        step = 0.05
+        grid = np.arange(0.0, 1.0 + step, step)
+        rng = np.random.default_rng(14)
+        for v in [rng.normal(size=3) for _ in range(4)] + [np.full(3, 1 / 3), np.zeros(3)]:
+            best, best_d = None, np.inf
+            for a in grid:
+                for b in grid:
+                    if a + b <= 1.0:
+                        cand = (a, b, 1.0 - a - b)
+                        d = sum((c - x) ** 2 for c, x in zip(cand, v))
+                        if d < best_d:
+                            best, best_d = cand, d
+            np.testing.assert_array_equal(nearest_simplex_point(v, step=step), best)
 
     def test_matches_grid_search(self):
         rng = np.random.default_rng(12)
@@ -99,21 +117,24 @@ class TestBlockMaps:
     def test_maps_match_forward_law_and_are_adjoint(self, K, L, Lp):
         # Every block's map is the law of the state with that block replaced,
         # and its pull-back is the map's adjoint: <adj(g), Y> = <g, fwd(Y)>.
+        # The state is a stack of two restarts; each slice is checked alone.
         rng = np.random.default_rng(10 * K + L)
         shape = (Lp,) * K
-        blocks = [rng.dirichlet(np.ones(L))[:, None]]
-        blocks += [rng.dirichlet(np.ones(Lp), size=L).T for _ in range(K)]
+        P = rng.dirichlet(np.ones(L), size=2)[:, :, None]
+        Ws = rng.dirichlet(np.ones(Lp), size=(2, K, L)).swapaxes(2, 3)
+        blocks = [P, *Ws.swapaxes(0, 1)]
         for i, block in enumerate(blocks):
-            fwd, adj = _block_maps(blocks, i, shape)
-            X = rng.dirichlet(np.ones(block.shape[0]), size=block.shape[1]).T
+            fwd, adj = _block_maps(P, Ws, i, _others_product(Ws, max(i - 1, 0)), shape)
+            X = rng.dirichlet(np.ones(block.shape[1]), size=(2, block.shape[2])).swapaxes(1, 2)
             state = blocks[:i] + [X] + blocks[i + 1 :]
             np.testing.assert_allclose(
-                fwd(X), forward_law(state[0][:, 0], state[1:]), rtol=0.0, atol=1e-15
+                fwd(X), forward_law(state[0][:, :, 0], state[1:]), rtol=0.0, atol=1e-15
             )
-            g, Y = rng.normal(size=Lp**K), rng.normal(size=block.shape)
-            pulled = adj(g)
+            g, Y = rng.normal(size=(2, Lp**K)), rng.normal(size=block.shape)
+            pulled, mapped = adj(g), fwd(Y)
             assert pulled.shape == block.shape
-            assert np.sum(pulled * Y) == pytest.approx(g @ fwd(Y), rel=1e-12)
+            for r in range(2):
+                assert np.sum(pulled[r] * Y[r]) == pytest.approx(g[r] @ mapped[r], rel=1e-12)
 
 
 class TestInversionConfig:
@@ -249,6 +270,58 @@ class TestRecoverSystem:
         res = dc.recover_system(q, dc.InversionConfig(L=2, restarts=8, seed=0))
         assert res.objective_value < 3e-7
         assert any(entry.converged for entry in res.restart_log)
+
+    def test_stop_reasons(self):
+        # An exact law's last restart stops at the fit floor; a five-sweep
+        # budget stops every restart of a sampled law at the budget.
+        _, q = exact_law(14, L=2)
+        res = dc.recover_system(q, dc.InversionConfig(L=2, restarts=4, seed=2))
+        assert res.restart_log[-1].stop_reason == "fit_floor"
+        for entry in res.restart_log:
+            assert entry.converged == (entry.stop_reason != "max_iters")
+        batch = dc.sample_dcs(dc.random_system(2, 2, 3, 0), 10_000, 1000)
+        q = dc.ml_estimate(dc.type_counts(batch))
+        res = dc.recover_system(q, dc.InversionConfig(L=2, restarts=3, max_iters=5, seed=0))
+        assert [e.stop_reason for e in res.restart_log] == ["max_iters"] * 3
+        assert not res.converged
+
+    def test_lockstep_restarts_match_a_shorter_fit(self, monkeypatch):
+        # Restarts run as one stack must each follow their own path, bit for
+        # bit: restarts 0-2 of an 8-restart fit are those of a 3-restart fit,
+        # and a stack one restart wide changes neither the result nor the log.
+        batch = dc.sample_dcs(dc.random_system(2, 2, 3, 0), 100_000, 1000)
+        q = dc.ml_estimate(dc.type_counts(batch))
+        full = dc.recover_system(q, dc.InversionConfig(L=2, restarts=8, max_iters=300, seed=0))
+        short = dc.recover_system(q, dc.InversionConfig(L=2, restarts=3, max_iters=300, seed=0))
+        assert len(full.restart_log) == 8
+        assert full.restart_log[:3] == short.restart_log
+        # Restarts leave the stack at different sweeps, for different reasons.
+        assert len({e.iterations for e in full.restart_log}) > 2
+        assert {e.stop_reason for e in full.restart_log} == {"converged", "max_iters"}
+        monkeypatch.setattr(core, "MAX_DENSE_CELLS", q.values.size * 2)
+        narrow = dc.recover_system(q, dc.InversionConfig(L=2, restarts=8, max_iters=300, seed=0))
+        assert narrow.restart_log == full.restart_log
+        assert narrow.best_restart == full.best_restart
+        assert narrow.objective_value == full.objective_value
+        np.testing.assert_array_equal(narrow.p_hat.probs, full.p_hat.probs)
+        for a, b in zip(narrow.channels_hat, full.channels_hat):
+            np.testing.assert_array_equal(a.entries, b.entries)
+
+    def test_restarts_after_the_first_at_the_fit_floor_are_dropped(self, monkeypatch):
+        # On this exact law restarts 3 and 4 reach the fit floor (at sweeps
+        # 285 and 275) before restart 2 does (at sweep 371), while restart 1
+        # converges short of it.  A sequential multi-start stops after
+        # restart 2, so the stacked fit must log 0-2 and nothing after; a
+        # stack one restart wide is that sequential fit.
+        q = dc.output_distribution(dc.random_system(3, 2, 4, 15))
+        cfg = dc.InversionConfig(L=3, restarts=5, max_iters=400, seed=0)
+        res = dc.recover_system(q, cfg)
+        assert [(e.restart, e.stop_reason) for e in res.restart_log] == [
+            (0, "converged"), (1, "converged"), (2, "fit_floor")
+        ]
+        assert res.best_restart == 2
+        monkeypatch.setattr(core, "MAX_DENSE_CELLS", q.values.size * 3)
+        assert dc.recover_system(q, cfg).restart_log == res.restart_log
 
     def test_kl_objective_also_recovers(self):
         truth, q = exact_law(3, L=2, min_mass=0.15)

@@ -258,7 +258,7 @@ class TestResultFile:
         doc = load_result(path)
         assert 1 <= len(doc["restart_log"]) <= 4
         for entry in doc["restart_log"]:
-            assert set(entry) == {"restart", "objective", "iterations", "converged"}
+            assert set(entry) == {"restart", "objective", "iterations", "converged", "stop_reason"}
 
     def test_config_keys_are_the_config_fields(self):
         q = dc.output_distribution(dc.random_system(2, 2, 3, 23))
