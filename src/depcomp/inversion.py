@@ -6,32 +6,34 @@ stack reproducing it.  The fit objective is block-multiconvex: with all blocks
 but one frozen, the model is linear in the free block, so each block is a
 convex problem over a product of probability simplices.  Holding ``p`` as an
 (L, 1) column makes every block column-stochastic, so one projected-gradient
-step serves all of them.  The solver has no forward map of its own: every
-full law it forms comes from `core.forward_law`, and a block's candidates
-are scored through the law's unfolding along one channel axis.  A sweep
-takes exactly one backtracking step per block (hidden distribution first,
-then each channel), each starting afresh at step 1, plus one extrapolation,
-accepting only strict decreases of one canonical objective evaluation, which
-makes the iteration monotone by construction.  A restart stops at the fit
-floor, on convergence (``_STEP_TOL`` bounds the largest entry change of any
-block), or after ``max_iters`` sweeps; its log names which in
-``stop_reason`` ("fit_floor", "converged" or "max_iters").  Multi-start
-over seeded restarts guards against the poor local minima any single start
-can hit.  Restart 0 runs alone; unless it reaches the fit floor, restarts
-1..R-1 then advance in lockstep as one stacked state, each backtracking on
-its own and leaving the stack when it stops, so a sweep pays numpy's
-per-call overhead once for all of them.  A stack holds at most
-``MAX_DENSE_CELLS // (cells * L)`` restarts; more run in consecutive groups
-of that width.  Every restart follows its own path bit for bit whatever
-else shares its stack, and the restarts after the first to reach the fit
-floor are not run, so the log and the winner are those of a sequential
-multi-start.  Results are canonicalised to descending hidden mass so the
-permutation ambiguity cannot leak into comparisons.
+step serves all of them.  The objective is squared Euclidean distance ("l2sq",
+the default) or the smoothed relative entropy ``D(model || q)`` ("kl").  The
+solver has no forward map of its own: every full law it forms comes from
+`core.forward_law`, and a block's candidates are scored through the law's
+unfolding along one channel axis.  A sweep takes exactly one backtracking step
+per block (hidden distribution first, then each channel), each starting afresh
+at step 1, plus one extrapolation, accepting only strict decreases of one
+canonical objective evaluation, which makes the iteration monotone by
+construction.  A restart stops at the fit floor, on convergence (``_STEP_TOL``
+bounds the largest entry change of any block), or after ``max_iters`` sweeps;
+its log names which in ``stop_reason`` ("fit_floor", "converged" or
+"max_iters").  Multi-start over seeded restarts guards against the poor local
+minima any single start can hit.  Restart 0 runs alone; unless it reaches the
+fit floor, restarts 1..R-1 then advance in lockstep as one stacked state,
+leaving it when they stop, so a sweep pays numpy's per-call overhead once for
+all of them.  A block step backtracks on the whole stack: one shared step
+halves while any restart has not yet found a strict decrease, and each restart
+takes its first one.  A stack holds at most ``MAX_DENSE_CELLS // (cells * L)``
+restarts; more run in consecutive groups of that width.  Every restart follows
+its own path bit for bit whatever else shares its stack, and the restarts
+after the first to reach the fit floor are not run, so the log and the winner
+are those of a sequential multi-start.  Results are canonicalised to
+descending hidden mass so the permutation ambiguity cannot leak into
+comparisons.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -52,7 +54,7 @@ from .core import (
     Permutation,
 )
 
-OBJECTIVE_KINDS = ("kl", "l1", "l2sq")
+OBJECTIVE_KINDS = ("kl", "l2sq")
 
 # Hidden masses below this are treated as sitting on the simplex boundary,
 # where identifiability degrades; results flag it rather than failing.
@@ -79,10 +81,12 @@ _SMOOTHING_EPS = 1e-12
 class InversionConfig:
     """Solver settings; ``L`` is the hidden alphabet size to fit.
 
-    ``max_iters`` counts sweeps.  The rest is fixed: a converged sweep moves
-    no entry of any block, ``p`` or a channel, by more than ``_STEP_TOL``
-    (1e-10) and lowers the objective by at most ``_OBJECTIVE_TOL`` (1e-12),
-    and the "kl" smoothing is ``_SMOOTHING_EPS`` (1e-12).
+    ``objective`` is one of `OBJECTIVE_KINDS`, "kl" or "l2sq" (see
+    `objective`).  ``max_iters`` counts sweeps.  The rest is fixed: a
+    converged sweep moves no entry of any block, ``p`` or a channel, by more
+    than ``_STEP_TOL`` (1e-10) and lowers the objective by at most
+    ``_OBJECTIVE_TOL`` (1e-12), and the "kl" smoothing is
+    ``_SMOOTHING_EPS`` (1e-12).
     """
 
     L: int
@@ -161,14 +165,12 @@ def _objective(m: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
     """Objective of each row of an ``(R, cells)`` stack of flat model laws.
 
     Each row reduces exactly as a lone law would: "l2sq" is one dot product
-    per row, "l1" one row sum; "kl" gives zero cells of the model a zero
-    term without taking their log.
+    per row; "kl" gives zero cells of the model a zero term without taking
+    their log.
     """
     if kind == "l2sq":
         d = m - q
         return (d[:, None, :] @ d[:, :, None])[:, 0, 0]
-    if kind == "l1":
-        return np.abs(m - q).sum(axis=1)
     logs = np.log2(np.where(m > 0.0, m, 1.0) / (q + _SMOOTHING_EPS))
     return np.sum(m * logs, axis=1)
 
@@ -176,8 +178,6 @@ def _objective(m: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
 def _grad(m: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
     if kind == "l2sq":
         return 2.0 * (m - q)
-    if kind == "l1":
-        return np.sign(m - q)
     return (np.log(np.maximum(m, _SMOOTHING_EPS) / (q + _SMOOTHING_EPS)) / _LN2) + 1.0 / _LN2
 
 
@@ -185,10 +185,10 @@ def objective(candidate: DCSystem, q_hat: JointTensor, kind: str) -> float:
     """Misfit between a candidate system's output law and ``q_hat``.
 
     ``kind`` selects smoothed relative entropy in bits ("kl", with 1e-12
-    added to the reference inside the log), total variation style L1 ("l1"),
-    or squared Euclidean distance ("l2sq").  "kl" is ``D(model || q_hat)``:
-    the model law weights the log ratio, which is the reverse of the
-    likelihood direction ``D(q_hat || model)``.
+    added to the reference inside the log) or squared Euclidean distance
+    ("l2sq"); any other kind is a ``ValueError``.  "kl" is
+    ``D(model || q_hat)``: the model law weights the log ratio, which is the
+    reverse of the likelihood direction ``D(q_hat || model)``.
     """
     if kind not in OBJECTIVE_KINDS:
         raise ValueError(f"objective must be one of {OBJECTIVE_KINDS}")
@@ -204,7 +204,7 @@ def _others_product(Ws: np.ndarray, k: int) -> np.ndarray:
     return khatri_rao(others) if others else np.ones((len(Ws), 1, Ws.shape[-1]))
 
 
-def _block_maps(P: np.ndarray, Ws: np.ndarray, i: int, B: np.ndarray, shape: tuple, rows=None):
+def _block_maps(P: np.ndarray, Ws: np.ndarray, i: int, B: np.ndarray, shape: tuple):
     """Forward map and gradient pull-back of block ``i``, others frozen.
 
     ``P`` stacks the restarts' ``p`` columns as ``(R, L, 1)`` and ``Ws``
@@ -218,11 +218,9 @@ def _block_maps(P: np.ndarray, Ws: np.ndarray, i: int, B: np.ndarray, shape: tup
     folded back to C order.  The pull-back of ``g`` starts from
     ``D = unfold_k(g) @ B``: it is ``D * p`` for a channel and the column
     sums of ``D * W_k`` for ``p``.  No array has the ``L'^K * L`` cells of
-    the full Khatri-Rao product.  Given ``rows``, the maps serve only those
-    restarts of the stack.
+    the full Khatri-Rao product.  Both maps act on the whole stack, each
+    restart's slice exactly as it would act alone.
     """
-    if rows is not None:
-        P, Ws, B = P[rows], Ws[rows], B[rows]
     k = max(i - 1, 0)
     p, W = P.swapaxes(1, 2), Ws[:, k]
     # Every axis has L' cells, so the unfolding reshapes to ``shape`` itself;
@@ -242,46 +240,41 @@ def _block_maps(P: np.ndarray, Ws: np.ndarray, i: int, B: np.ndarray, shape: tup
     return fwd, adj
 
 
-def _descend(X, maps, q, m_cur, f_cur, kind):
+def _descend(X, fwd, adj, q, m_cur, f_cur, kind):
     """One backtracking projected-gradient step per restart on a block stack.
 
-    ``maps(rows)`` gives the block's `_block_maps` for the restarts ``rows``
-    (all of them for ``None``).  ``m_cur`` holds the flat model laws of the
-    current states, ``fwd(X)`` up to rounding, and ``f_cur`` their
-    objectives.  Every restart starts at step 1; the restarts whose
-    candidate does not strictly decrease their objective halve their step
-    and retry, on their own, until one does.  The new block stack comes back
-    with its model laws, objectives and each restart's largest entry change.
-    A restart still failing below ``_MIN_STEP`` keeps its block unchanged.
-    Under "l2sq" a channel's curvature along each output row is
-    ``2 diag(p) B^T B diag(p)``, whose trace is at most
-    ``2 sum_c p_c^2 <= 2``, so step 1 is usually accepted at once.
+    ``fwd, adj`` are the block's `_block_maps`.  ``m_cur`` holds the flat
+    model laws of the current states, ``fwd(X)`` up to rounding, and
+    ``f_cur`` their objectives.  One step, shared by the whole stack, starts
+    at 1 and halves while some restart is pending; each restart takes its
+    first candidate that strictly decreases its objective.  Every operation
+    acts slice by slice, so each restart follows its lone path bit for bit;
+    the candidates of restarts that have settled are computed and discarded.
+    The new block stack comes back with its model laws, objectives and each
+    restart's largest entry change.  A restart still failing below
+    ``_MIN_STEP`` keeps its block unchanged.  Under "l2sq" a channel's
+    curvature along each output row is ``2 diag(p) B^T B diag(p)``, whose
+    trace is at most ``2 sum_c p_c^2 <= 2``, so step 1 is usually accepted
+    at once.
     """
-    fwd, adj = maps(None)
     G = adj(_grad(m_cur, q, kind))
     X_new, m_new, f_new = X, m_cur, f_cur
-    # The restarts still backtracking, with their blocks, gradients and
-    # objectives; ``rows`` stays None while that is all of them.
-    rows, Xr, Gr, fr = None, X, G, f_cur
+    pending = np.ones(len(X), dtype=bool)
     s = 1.0
     while s > _MIN_STEP:
-        cand = _project_cols(Xr - s * Gr)
+        cand = _project_cols(X - s * G)
         m_c = fwd(cand)
         f_c = _objective(m_c, q, kind)
-        ok = f_c < fr
-        if rows is None and ok.all():
+        ok = pending & (f_c < f_cur)
+        if ok.all():
             X_new, m_new, f_new = cand, m_c, f_c
             break
-        if ok.any():
-            if rows is None:
-                rows = np.arange(len(X))
-                X_new, m_new, f_new = X.copy(), m_cur.copy(), f_cur.copy()
-            hit = rows[ok]
-            X_new[hit], m_new[hit], f_new[hit] = cand[ok], m_c[ok], f_c[ok]
-            rows = rows[~ok]
-            if rows.size == 0:
-                break
-            fwd, Xr, Gr, fr = maps(rows)[0], X[rows], G[rows], f_cur[rows]
+        X_new = np.where(ok[:, None, None], cand, X_new)
+        m_new = np.where(ok[:, None], m_c, m_new)
+        f_new = np.where(ok, f_c, f_new)
+        pending &= ~ok
+        if not pending.any():
+            break
         s *= 0.5
     return X_new, m_new, f_new, np.abs(X_new - X).max(axis=(1, 2))
 
@@ -332,9 +325,9 @@ def _solve_stack(q, shape, starts: list, ids: list, cfg: InversionConfig) -> lis
         for i in range(K + 1):
             if i != 1:  # p and W_1 share B, the product of W_2..W_K
                 B = _others_product(Ws, max(i - 1, 0))
-            maps = functools.partial(_block_maps, P, Ws, i, B, shape)
+            fwd, adj = _block_maps(P, Ws, i, B, shape)
             X = P if i == 0 else Ws[:, i - 1]
-            X, m_cur, f_cur, d = _descend(X, maps, q, m_cur, f_cur, kind)
+            X, m_cur, f_cur, d = _descend(X, fwd, adj, q, m_cur, f_cur, kind)
             if i == 0:
                 P = X
             else:

@@ -100,6 +100,15 @@ def write_text_atomic(path, text) -> None:
         raise
 
 
+def _load_json(path, what: str):
+    """The JSON document in ``path``; one nested too deeply to parse is a ``ValueError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{what}: JSON nested too deeply to parse") from None
+
+
 def _require_keys(doc: dict, keys: tuple, what: str) -> None:
     if not isinstance(doc, dict):
         raise ValueError(f"{what}: expected a JSON object")
@@ -144,8 +153,7 @@ def save_system(path, system: DCSystem) -> None:
 
 
 def load_system(path) -> DCSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path, "system file")
     _require_keys(doc, ("L", "Lprime", "K", "p", "channels"), "system file")
     L = _as_int(doc["L"], "L")
     Lprime = _as_int(doc["Lprime"], "Lprime")
@@ -175,8 +183,7 @@ def save_tensor(path, t: JointTensor) -> None:
 
 
 def load_tensor(path) -> JointTensor:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path, "tensor file")
     _require_keys(doc, ("shape", "values"), "tensor file")
     shape = _numbers(doc["shape"], "tensor file: shape", (int,))
     values = _numbers(doc["values"], "tensor file: values")
@@ -308,8 +315,7 @@ def save_result(path, result: InversionResult, config: InversionConfig) -> None:
 
 def load_result(path) -> dict:
     """Load a result document as a plain dict (floats parse back exactly)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(path, "result file")
     if not isinstance(doc, dict):
         raise ValueError("result file: expected a JSON object")
     return doc

@@ -54,6 +54,9 @@ class TestUsageErrors:
     def test_unknown_suite(self):
         assert run_cli("verify", "--suite", "nope")[0] == 64
 
+    def test_l1_objective_is_not_offered(self):
+        assert run_cli("invert", "--q", "a.json", "--L", "2", "--objective", "l1")[0] == 64
+
 
 class TestGen:
     def test_writes_valid_descending_system(self, tmp_path):
@@ -389,6 +392,27 @@ class TestNonNumericCells:
         system_doc["p"] = [True, False]
         code, out, err = self.check_fork(tmp_path, system_doc)
         assert (code, out) == (2, "") and "system file: p" in err
+
+
+class TestDeeplyNestedJson:
+    """A document nested past the parser's recursion limit exits 2, not in a traceback."""
+
+    @pytest.fixture()
+    def deep_path(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000)
+        return str(path)
+
+    def test_invert_q_exits_2(self, deep_path):
+        proc = run_module("invert", "--q", deep_path, "--L", "2", timeout=60)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert "tensor file: JSON nested too deeply" in proc.stderr
+
+    def test_simulate_system_exits_2(self, deep_path, tmp_path):
+        out = str(tmp_path / "s.csv")
+        proc = run_module("simulate", "--system", deep_path, "--n", "5", "--out", out, timeout=60)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert "system file: JSON nested too deeply" in proc.stderr
 
 
 class TestVerify:

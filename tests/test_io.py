@@ -266,3 +266,14 @@ class TestResultFile:
         doc = result_document(dc.recover_system(q, cfg), cfg)
         assert list(doc["config"]) == [f.name for f in dataclasses.fields(dc.InversionConfig)]
         assert doc["config"] == dataclasses.asdict(cfg)
+
+
+@pytest.mark.parametrize(
+    "load, what",
+    [(load_system, "system file"), (load_tensor, "tensor file"), (load_result, "result file")],
+)
+def test_deeply_nested_document_is_a_value_error(tmp_path, load, what):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    with pytest.raises(ValueError, match=f"^{what}: JSON nested too deeply"):
+        load(path)
