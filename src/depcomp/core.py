@@ -194,11 +194,15 @@ class JointTensor:
 
     ``values`` is laid out in row-major (C) order over ``shape``: the last
     coordinate varies fastest.  ``shape[a]`` is the alphabet size of axis
-    ``a + 1``.
+    ``a + 1``.  ``n`` is the number of records an empirical law was
+    estimated from, a positive integer, or ``None`` for an exact law; it
+    sets the solver's restart schedule and the fit statistic ``G²``, never
+    the fit itself.
     """
 
     shape: tuple
     values: np.ndarray
+    n: int | None = None
 
     def __post_init__(self):
         shape = tuple(int(s) for s in self.shape)
@@ -219,6 +223,11 @@ class JointTensor:
             raise ValueError("tensor values must be nonnegative")
         if abs(total - 1.0) > TENSOR_MASS_ATOL:
             raise ValueError(f"tensor mass {total!r} is not 1 within {TENSOR_MASS_ATOL}")
+        if self.n is not None:
+            n = self.n
+            if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 1:
+                raise ValueError(f"sample size n must be a positive integer, got {n!r}")
+            object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "values", _frozen_array(arr))
 

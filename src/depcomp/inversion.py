@@ -18,10 +18,14 @@ construction.  A restart stops at the fit floor, on convergence (``_STEP_TOL``
 bounds the largest entry change of any block), or after ``max_iters`` sweeps;
 its log names which in ``stop_reason`` ("fit_floor", "converged" or
 "max_iters").  Multi-start over seeded restarts guards against the poor local
-minima any single start can hit.  Restart 0 runs alone; unless it reaches the
-fit floor, restarts 1..R-1 then advance in lockstep as one stacked state,
-leaving it when they stop, so a sweep pays numpy's per-call overhead once for
-all of them.  A block step backtracks on the whole stack: one shared step
+minima any single start can hit.  Restarts advance in lockstep as one stacked
+state, leaving it when they stop, so a sweep pays numpy's per-call overhead
+once for all of them.  The schedule depends on the target: on an exact law
+restart 0 runs alone first, and restarts 1..R-1 follow as a stack unless it
+reaches the fit floor; on a sampled law (a target that carries its sample
+size ``n``) the fit floor sits far below the sampling noise, so restart 0
+would nearly always run its whole budget alone, and all R restarts start
+together instead.  A block step backtracks on the whole stack: one shared step
 halves while any restart has not yet found a strict decrease, and each restart
 takes its first one.  A stack holds at most ``MAX_DENSE_CELLS // (cells * L)``
 restarts; more run in consecutive groups of that width.  Every restart follows
@@ -126,6 +130,14 @@ class RestartLog:
 
 @dataclass(frozen=True)
 class InversionResult:
+    """The best restart's fit, in canonical form, with every restart's log.
+
+    ``n`` is the target's sample size, ``None`` for an exact law.  ``g2`` is
+    the likelihood-ratio statistic of the fit (`_g2`), ``None`` for an exact
+    law or when an observed cell has model mass 0; ``df`` is its degrees of
+    freedom.
+    """
+
     p_hat: Distribution
     channels_hat: tuple
     objective_value: float
@@ -133,6 +145,16 @@ class InversionResult:
     best_restart: int
     restart_log: tuple
     near_boundary: bool
+    n: int | None
+    g2: float | None
+
+    @property
+    def df(self) -> int:
+        """Free cells of the law, ``L'^K - 1``, less the model's free
+        parameters, ``(L - 1) + K L (L' - 1)``; zero or negative when the
+        model has as many parameters as the law has cells, or more."""
+        L, K, Lp = self.p_hat.size, len(self.channels_hat), self.channels_hat[0].outputs
+        return Lp**K - 1 - ((L - 1) + K * L * (Lp - 1))
 
 
 def _project_cols(V: np.ndarray) -> np.ndarray:
@@ -372,6 +394,21 @@ def _solve_stack(q, shape, starts: list, ids: list, cfg: InversionConfig) -> lis
     return sorted(entry for entry in done if entry[0] <= floor_id)
 
 
+def _g2(q: np.ndarray, n: int | None, system: DCSystem) -> float | None:
+    """``G² = 2n sum_c q_c ln(q_c / m_c)`` over the observed cells ``q_c > 0``.
+
+    ``m`` is the fitted system's law (Goodman 1974).  ``None`` for an exact
+    law, whose ``n`` is ``None``, and when an observed cell has model mass 0.
+    """
+    if n is None:
+        return None
+    m = forward_law(system.p.probs, [ch.entries for ch in system.channels])
+    seen = q > 0.0
+    if not np.all(m[seen] > 0.0):
+        return None
+    return float(2.0 * n * np.sum(q[seen] * np.log(q[seen] / m[seen])))
+
+
 def _random_start(rng: Generator, L: int, Lp: int, K: int) -> list:
     blocks = [rng.dirichlet(np.ones(L))[:, None]]
     for _ in range(K):
@@ -387,18 +424,21 @@ def _random_start(rng: Generator, L: int, Lp: int, K: int) -> list:
 def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResult:
     """Fit a hidden system to ``q_hat`` by multi-start alternating descent.
 
-    Restart 0 runs alone first; unless it reaches the fit floor, restarts
-    1..R-1 then run in lockstep as one stack (`_solve_stack`), in
-    consecutive groups of at most ``MAX_DENSE_CELLS // (cells * L)``
-    restarts, so a stack stays under the dense-cell limit the fit is
-    checked against.  Restarts after the first to reach the fit floor are
-    not run, or dropped, since they could only tie, so the log, the winner
-    and every stop rule are those of a sequential multi-start.  Returns the
-    best restart's system in canonical form (hidden mass sorted
-    descending); the winner is decided by (objective, restart index).  With
-    fewer than three observation axes the target does not pin the system
-    down even in principle, so a ``UserWarning`` is emitted and whichever
-    optimum was found is returned.
+    Restarts run in lockstep as one stack (`_solve_stack`), in consecutive
+    groups of at most ``MAX_DENSE_CELLS // (cells * L)`` restarts, so a
+    stack stays under the dense-cell limit the fit is checked against.  On
+    an exact law (``q_hat.n`` is ``None``) restart 0 runs alone first, and
+    restarts 1..R-1 follow unless it reaches the fit floor.  On a sampled
+    law all R restarts start together: its fit floor sits far below the
+    sampling noise, so restart 0 would nearly always run its whole budget
+    alone.  ``n`` sets only this schedule, never a fit.  Restarts after the
+    first to reach the fit floor are not run, or dropped, since they could
+    only tie, so the log, the winner and every stop rule are those of a
+    sequential multi-start.  Returns the best restart's system in canonical
+    form (hidden mass sorted descending); the winner is decided by
+    (objective, restart index).  With fewer than three observation axes the
+    target does not pin the system down even in principle, so a
+    ``UserWarning`` is emitted and whichever optimum was found is returned.
     """
     if len(set(q_hat.shape)) != 1:
         raise ValueError("all observation axes must share one output alphabet")
@@ -416,7 +456,8 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
     q = q_hat.values
     R = config.restarts
     width = core.MAX_DENSE_CELLS // cells
-    groups = [range(1)] + [range(a, min(a + width, R)) for a in range(1, R, width)]
+    first = [range(1)] if q_hat.n is None else []
+    groups = first + [range(a, min(a + width, R)) for a in range(len(first), R, width)]
     best = None
     logs = []
     for group in groups:
@@ -452,6 +493,8 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
         best_restart=j_best,
         restart_log=tuple(logs),
         near_boundary=bool(np.any(system.p.probs < BOUNDARY_MASS)),
+        n=q_hat.n,
+        g2=_g2(q, q_hat.n, system),
     )
 
 

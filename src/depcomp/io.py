@@ -109,11 +109,13 @@ def _load_json(path, what: str):
             raise ValueError(f"{what}: JSON nested too deeply to parse") from None
 
 
-def _require_keys(doc: dict, keys: tuple, what: str) -> None:
+def _require_keys(doc: dict, keys: tuple, what: str, optional: tuple = ()) -> None:
+    """Refuse a document that is not an object, lacks one of ``keys``, or has
+    a key that is neither in ``keys`` nor in ``optional``."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what}: expected a JSON object")
     missing = [k for k in keys if k not in doc]
-    extra = [k for k in doc if k not in keys]
+    extra = [k for k in doc if k not in keys and k not in optional]
     if missing:
         raise ValueError(f"{what}: missing keys {missing}")
     if extra:
@@ -179,15 +181,26 @@ def load_system(path) -> DCSystem:
 
 
 def save_tensor(path, t: JointTensor) -> None:
-    write_text_atomic(path, render_json({"shape": list(t.shape), "values": t.values}))
+    """Write ``shape`` and ``values``, and ``n`` when the law was estimated."""
+    doc = {"shape": list(t.shape), "values": t.values}
+    if t.n is not None:
+        doc["n"] = t.n
+    write_text_atomic(path, render_json(doc))
 
 
 def load_tensor(path) -> JointTensor:
+    """Read a tensor file; one without ``n`` is an exact law.
+
+    ``n``, when present, must be a positive JSON integer.
+    """
     doc = _load_json(path, "tensor file")
-    _require_keys(doc, ("shape", "values"), "tensor file")
+    _require_keys(doc, ("shape", "values"), "tensor file", optional=("n",))
     shape = _numbers(doc["shape"], "tensor file: shape", (int,))
     values = _numbers(doc["values"], "tensor file: values")
-    return JointTensor(tuple(shape), np.array(values, dtype=np.float64))
+    n = doc.get("n")
+    if "n" in doc and (type(n) is not int or n < 1):
+        raise ValueError("tensor file: n must be a positive integer")
+    return JointTensor(tuple(shape), np.array(values, dtype=np.float64), n)
 
 
 # Sample-file rows formatted per `%`: the transient Python ints and text of
@@ -294,6 +307,7 @@ def result_document(result: InversionResult, config: InversionConfig) -> dict:
         "converged": result.converged,
         "best_restart": result.best_restart,
         "near_boundary": result.near_boundary,
+        "target": {"n": result.n, "g2": result.g2, "df": result.df},
         "p_hat": result.p_hat.probs,
         "channels_hat": [ch.entries for ch in result.channels_hat],
         "restart_log": [

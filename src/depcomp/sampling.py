@@ -116,15 +116,6 @@ def _uniform_rows(seed: int, start: int, stop: int, width: int) -> np.ndarray:
     return flat.reshape(stop - start, width)
 
 
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """0-based symbols via inverse CDF: smallest ``i`` with ``u < cum[i]``.
-
-    ``cum`` has the cumulative masses down axis 0 with the final row pinned to
-    exactly 1.0, so every ``u`` in [0, 1) lands on a valid symbol.
-    """
-    return (cum <= u[None, :]).sum(axis=0)
-
-
 def _cumulative_columns(matrix: np.ndarray) -> np.ndarray:
     cum = np.cumsum(matrix, axis=0)
     cum[-1, :] = 1.0
@@ -138,7 +129,10 @@ def sample_dcs(system: DCSystem, n: int, seed: int, _chunk: int = 1 << 15) -> Sa
     through each channel, using uniforms ``t``'s own stream block, so the
     result is reproducible bit-for-bit for a given ``(system, n, seed)`` and
     independent of chunking.  An ``n * K`` record table larger than
-    ``MAX_DENSE_CELLS`` is refused before it is allocated.
+    ``MAX_DENSE_CELLS`` is refused before it is allocated.  The records are
+    drawn channel by channel into a ``(K, n)`` block, each channel reading
+    its uniforms as one contiguous column; `SampleBatch`'s own copy
+    transposes the block.
     """
     if int(n) < 1:
         raise ValueError("need at least one record")
@@ -147,17 +141,25 @@ def sample_dcs(system: DCSystem, n: int, seed: int, _chunk: int = 1 << 15) -> Sa
     K = system.num_channels
     check_dense_cells(n * K, f"sampling {n} records")
     width = _record_width(K)
-    cum_p = _cumulative_columns(system.p.probs[:, None])  # (L, 1)
+    cum_p = _cumulative_columns(system.p.probs[:, None])[:, 0]
     cum_w = [_cumulative_columns(ch.entries) for ch in system.channels]
-    records = np.empty((n, K), dtype=np.int64)
+    records = np.ones((K, n), dtype=np.int64)
     for start in range(0, n, _chunk):
         stop = min(start + _chunk, n)
         u = _uniform_rows(seed, start, stop, width)
-        hidden = _inverse_cdf(cum_p, u[:, 0])  # 0-based hidden symbols
+        # Inverse CDF: the 0-based symbol is the number of CDF rows at or
+        # below u.  The last row is pinned to 1.0 and every u is below 1,
+        # so it never counts and is skipped.
+        u_k = u[:, 0].copy()
+        hidden = np.zeros(stop - start, dtype=np.intp)
+        for c in cum_p[:-1]:
+            hidden += c <= u_k
         for k in range(K):
-            cum_cols = cum_w[k][:, hidden]  # (L', m): CDF of each record's input
-            records[start:stop, k] = _inverse_cdf(cum_cols, u[:, k + 1]) + 1
-    return SampleBatch(system.output_size, records)
+            row = records[k, start:stop]
+            u_k = u[:, k + 1].copy()
+            for cdf in cum_w[k][:-1]:
+                row += cdf.take(hidden) <= u_k
+    return SampleBatch(system.output_size, records.T)
 
 
 def type_counts(batch: SampleBatch) -> EmpiricalCounts:
@@ -172,12 +174,15 @@ def type_counts(batch: SampleBatch) -> EmpiricalCounts:
 
 
 def ml_estimate(counts: EmpiricalCounts) -> JointTensor:
-    """Maximum-likelihood (empirical frequency) estimate of the joint law."""
+    """Maximum-likelihood (empirical frequency) estimate of the joint law.
+
+    The tensor carries the sample size ``counts.n``.
+    """
     if counts.n < 1:
         raise ValueError("cannot estimate from zero records")
     q = counts.counts / counts.n
     q.flags.writeable = False
-    return JointTensor(counts.shape, q)
+    return JointTensor(counts.shape, q, counts.n)
 
 
 def typicality_test(q_hat: JointTensor, q: JointTensor, n: int) -> bool:

@@ -187,6 +187,7 @@ class TestSimulateEstimate:
         want = dc.ml_estimate(dc.type_counts(batch))
         assert q.shape == want.shape
         np.testing.assert_array_equal(q.values, want.values)
+        assert q.n == 500
 
     def test_calls_in_a_row_do_not_share_flags(self, tmp_path, system_path):
         # main parses with one parser per process; a flag given to one call
@@ -229,7 +230,9 @@ class TestInvert:
             "--seed", "0", "--out", str(fit_path),
         )
         assert code == 0
-        assert set(np.array(load_result(fit_path)["p_hat"]).shape) == {2}
+        doc = load_result(fit_path)
+        assert set(np.array(doc["p_hat"]).shape) == {2}
+        assert doc["target"]["n"] == 5000
 
     def test_stdout_mode_prints_document(self, tmp_path):
         sys_path = tmp_path / "system.json"
@@ -392,6 +395,23 @@ class TestNonNumericCells:
         system_doc["p"] = [True, False]
         code, out, err = self.check_fork(tmp_path, system_doc)
         assert (code, out) == (2, "") and "system file: p" in err
+
+
+class TestTensorSampleSize:
+    @pytest.mark.parametrize("n", ["true", "2000.0", '"2000"', "0", "-5", "null"])
+    def test_invert_refuses_a_bad_n(self, tmp_path, n):
+        q_path = tmp_path / "q.json"
+        q_path.write_text(f'{{"shape": [2, 2, 2], "values": [{", ".join(["0.125"] * 8)}], "n": {n}}}')
+        code, out, err = run_cli("invert", "--q", str(q_path), "--L", "2", "--restarts", "1", "--max-iters", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: tensor file: n must be a positive integer\n"
+
+    def test_invert_reports_a_good_n(self, tmp_path):
+        q_path = tmp_path / "q.json"
+        q_path.write_text(f'{{"shape": [2, 2, 2], "values": [{", ".join(["0.125"] * 8)}], "n": 8}}')
+        code, out, _ = run_cli("invert", "--q", str(q_path), "--L", "2", "--restarts", "1", "--max-iters", "1")
+        assert code == 0
+        assert json.loads(out)["target"]["n"] == 8
 
 
 class TestDeeplyNestedJson:

@@ -151,6 +151,14 @@ class TestJointTensor:
         view.flags.writeable = False
         assert dc.JointTensor((2,), view).values is not view
 
+    def test_sample_size(self):
+        assert dc.JointTensor((2,), np.array([0.5, 0.5])).n is None
+        t = dc.JointTensor((2,), np.array([0.5, 0.5]), np.int64(8))
+        assert t.n == 8 and type(t.n) is int
+        for n in (0, -3, True, 2.0, "8"):
+            with pytest.raises(ValueError, match="n must be a positive integer"):
+                dc.JointTensor((2,), np.array([0.5, 0.5]), n)
+
 
 class TestDCSystem:
     def test_properties(self):

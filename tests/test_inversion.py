@@ -7,8 +7,8 @@ import pytest
 
 import depcomp as dc
 from depcomp.core import forward_law
-from depcomp import core
-from depcomp.inversion import OBJECTIVE_KINDS, _MIN_STEP, _block_maps, _descend, _objective, _others_product
+from depcomp import core, inversion
+from depcomp.inversion import OBJECTIVE_KINDS, _MIN_STEP, _block_maps, _descend, _g2, _objective, _others_product
 from oracles import best_relabeling, nearest_simplex_point
 
 IDENT2 = dc.Channel(np.eye(2))
@@ -409,6 +409,91 @@ class TestRecoverSystem:
             dc.recover_system(
                 dc.JointTensor((2, 2, 2), not_normalized), dc.InversionConfig(L=2)
             )
+
+
+def sampled_law(system, n, seed):
+    return dc.ml_estimate(dc.type_counts(dc.sample_dcs(system, n, seed)))
+
+
+def assert_same_fit(a, b):
+    assert len(a.restart_log) == len(b.restart_log)
+    for x, y in zip(a.restart_log, b.restart_log):
+        assert (x.restart, x.iterations, x.stop_reason) == (y.restart, y.iterations, y.stop_reason)
+        assert np.array_equal(x.objective, y.objective)
+        assert np.array_equal(x.trace, y.trace)
+    assert a.best_restart == b.best_restart
+    assert np.array_equal(a.p_hat.probs, b.p_hat.probs)
+    for u, v in zip(a.channels_hat, b.channels_hat):
+        assert np.array_equal(u.entries, v.entries)
+
+
+class TestSampledSchedule:
+    """A target's ``n`` sets only the restart schedule: the same values fit
+    as a sampled law (every restart in one stack from sweep 1) and as an
+    exact law (restart 0 alone first) give the same logs and fit."""
+
+    @pytest.fixture()
+    def stack_calls(self, monkeypatch):
+        calls, solve_stack = [], inversion._solve_stack
+
+        def counted(q, shape, starts, ids, cfg):
+            calls.append(list(ids))
+            return solve_stack(q, shape, starts, ids, cfg)
+
+        monkeypatch.setattr(inversion, "_solve_stack", counted)
+        return calls
+
+    def fit_both_ways(self, q, cfg, calls):
+        sampled = dc.recover_system(q, cfg)
+        sampled_calls = list(calls)
+        calls.clear()
+        exact = dc.recover_system(dc.JointTensor(q.shape, q.values), cfg)
+        assert (sampled.n, exact.n) == (q.n, None)
+        assert_same_fit(sampled, exact)
+        return sampled, sampled_calls, list(calls)
+
+    @pytest.mark.parametrize("s", range(4))
+    def test_noisy_fit_laws(self, s, stack_calls):
+        q = sampled_law(dc.random_system(2, 2, 4, 500 + s), 20_000, 900 + s)
+        cfg = dc.InversionConfig(L=2, restarts=4, max_iters=40, seed=0)
+        _, sampled_calls, exact_calls = self.fit_both_ways(q, cfg, stack_calls)
+        assert sampled_calls == [[0, 1, 2, 3]]
+        assert exact_calls == [[0], [1, 2, 3]]
+
+    def test_restart_0_at_the_fit_floor(self, stack_calls):
+        # Criterion 10's seed-1 law: restart 0 reaches the fit floor, so the
+        # sampled fit, whose stack also ran restarts 1-7, logs restart 0 alone.
+        q = sampled_law(dc.random_system(2, 2, 3, 1), 100_000, 1001)
+        cfg = dc.InversionConfig(L=2, restarts=8, seed=0)
+        res, sampled_calls, exact_calls = self.fit_both_ways(q, cfg, stack_calls)
+        assert [(e.restart, e.stop_reason) for e in res.restart_log] == [(0, "fit_floor")]
+        assert sampled_calls == [list(range(8))]
+        assert exact_calls == [[0]]
+
+    def test_under_determined_law(self, stack_calls):
+        q = sampled_law(dc.random_system(4, 2, 4, 300), 100_000, 77)
+        cfg = dc.InversionConfig(L=4, restarts=8, max_iters=200, seed=0)
+        _, sampled_calls, exact_calls = self.fit_both_ways(q, cfg, stack_calls)
+        assert sampled_calls == [list(range(8))]
+        assert exact_calls == [[0], list(range(1, 8))]
+
+    def test_groups_keep_the_width_cap(self, stack_calls, monkeypatch):
+        q = sampled_law(dc.random_system(2, 2, 3, 2), 1000, 5)
+        monkeypatch.setattr(core, "MAX_DENSE_CELLS", q.values.size * 2 * 3)
+        cfg = dc.InversionConfig(L=2, restarts=8, max_iters=5, seed=0)
+        _, sampled_calls, exact_calls = self.fit_both_ways(q, cfg, stack_calls)
+        assert sampled_calls == [[0, 1, 2], [3, 4, 5], [6, 7]]
+        assert exact_calls == [[0], [1, 2, 3], [4, 5, 6], [7]]
+
+
+class TestG2:
+    def test_observed_cell_without_model_mass_has_none(self):
+        # Identity channels put no mass off the diagonal, where q has some.
+        fit = dc.DCSystem(dc.Distribution(np.array([0.5, 0.5])), (IDENT2,) * 3)
+        q = np.full(8, 0.125)
+        assert _g2(q, 100, fit) is None
+        diag = dc.output_distribution(fit).values
+        assert _g2(diag, 100, fit) == 0.0
 
 
 class TestCanonicalize:

@@ -128,6 +128,30 @@ class TestTensorFile:
         with pytest.raises(ValueError):
             load_tensor(path)
 
+    def test_sampled_law_round_trips_byte_for_byte(self, tmp_path):
+        batch = dc.sample_dcs(dc.random_system(2, 2, 3, 5), 300, seed=1)
+        q = dc.ml_estimate(dc.type_counts(batch))
+        path, again = tmp_path / "q.json", tmp_path / "again.json"
+        save_tensor(path, q)
+        assert json.loads(path.read_text())["n"] == 300
+        loaded = load_tensor(path)
+        assert loaded.n == 300
+        np.testing.assert_array_equal(loaded.values, q.values)
+        save_tensor(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_file_without_n_is_an_exact_law(self, tmp_path):
+        path = tmp_path / "q.json"
+        save_tensor(path, dc.output_distribution(dc.random_system(2, 2, 3, 5)))
+        assert "n" not in json.loads(path.read_text())
+        assert load_tensor(path).n is None
+
+    def test_unknown_key_still_rejected(self, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text('{"shape": [2], "values": [0.5, 0.5], "n": 4, "m": 4}')
+        with pytest.raises(ValueError, match=r"unknown keys \['m'\]"):
+            load_tensor(path)
+
 
 def reference_csv(records) -> str:
     """The sample-file format written one record at a time."""
@@ -259,6 +283,32 @@ class TestResultFile:
         assert 1 <= len(doc["restart_log"]) <= 4
         for entry in doc["restart_log"]:
             assert set(entry) == {"restart", "objective", "iterations", "converged", "stop_reason"}
+
+    def test_target_of_a_sampled_law(self):
+        # G² recomputed from the document's own fit: 2n sum q ln(q / m) over
+        # the observed cells, with m the law of p_hat and channels_hat.
+        batch = dc.sample_dcs(dc.random_system(2, 2, 4, 24), 2000, seed=3)
+        q = dc.ml_estimate(dc.type_counts(batch))
+        cfg = dc.InversionConfig(L=2, restarts=2, max_iters=30, seed=0)
+        doc = json.loads(render_json(result_document(dc.recover_system(q, cfg), cfg)))
+        fit = dc.DCSystem(
+            dc.Distribution(np.array(doc["p_hat"])),
+            tuple(dc.Channel(np.array(w)) for w in doc["channels_hat"]),
+        )
+        m = dc.output_distribution(fit).values
+        seen = q.values > 0
+        g2 = 2 * 2000 * np.sum(q.values[seen] * np.log(q.values[seen] / m[seen]))
+        assert set(doc["target"]) == {"n", "g2", "df"}
+        assert doc["target"]["n"] == 2000
+        assert doc["target"]["g2"] == pytest.approx(g2, rel=1e-9)
+        assert doc["target"]["df"] == 2**4 - 1 - (1 + 4 * 2 * 1)
+
+    def test_target_of_an_exact_law(self):
+        q = dc.output_distribution(dc.random_system(3, 2, 3, 25))
+        cfg = dc.InversionConfig(L=3, restarts=1, max_iters=5, seed=0)
+        doc = result_document(dc.recover_system(q, cfg), cfg)
+        # df is written as is, here negative: 7 free cells, 11 parameters.
+        assert doc["target"] == {"n": None, "g2": None, "df": 7 - 11}
 
     def test_config_keys_are_the_config_fields(self):
         q = dc.output_distribution(dc.random_system(2, 2, 3, 23))

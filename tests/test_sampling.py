@@ -39,7 +39,52 @@ class TestEmpiricalCounts:
         assert counts.counts.dtype == np.int64 and not counts.counts.flags.writeable
 
 
+def records_by_gather(system, n, seed, chunk):
+    """The former sampling kernel, kept as an oracle: gather an (L', m) block
+    of CDF columns per channel and count, down its short axis, the rows at
+    or below each record's uniform."""
+    from depcomp.sampling import _cumulative_columns, _record_width, _uniform_rows
+
+    K = system.num_channels
+    cum_p = _cumulative_columns(system.p.probs[:, None])
+    cum_w = [_cumulative_columns(ch.entries) for ch in system.channels]
+    records = np.empty((n, K), dtype=np.int64)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        u = _uniform_rows(seed, start, stop, _record_width(K))
+        hidden = (cum_p <= u[None, :, 0]).sum(axis=0)
+        for k in range(K):
+            records[start:stop, k] = (cum_w[k][:, hidden] <= u[None, :, k + 1]).sum(axis=0) + 1
+    return records
+
+
+def one_output_system(L, K, seed):
+    p = np.random.default_rng(seed).dirichlet(np.ones(L))
+    return dc.DCSystem(dc.Distribution(p), tuple(dc.Channel(np.ones((1, L))) for _ in range(K)))
+
+
 class TestSampleDcs:
+    @pytest.mark.parametrize(
+        "system",
+        [
+            dc.random_system(2, 2, 4, 3),
+            dc.random_system(1, 3, 3, 4),
+            one_output_system(3, 3, 5),
+            dc.random_system(2, 5, 4, 6),
+            dc.random_system(4, 4, 9, 7),
+        ],
+        ids=["binary", "L=1", "Lprime=1", "Lprime=5", "wide"],
+    )
+    def test_records_match_the_gather_oracle(self, system):
+        # Counting row by row against each record's uniform gives the same
+        # records, bit for bit, as counting down a gathered block of CDF
+        # columns; 1001 records are not a whole number of 64-record chunks.
+        for n, chunk in ((1001, 64), (5000, 1 << 15)):
+            want = records_by_gather(system, n, 17, chunk)
+            got = dc.sample_dcs(system, n, 17, _chunk=chunk)
+            np.testing.assert_array_equal(got.records, want)
+            assert got.records.flags.c_contiguous
+
     def test_point_mass_identity_channels(self):
         sys_ = dc.DCSystem(dc.dirac(1, 2), (IDENT2, IDENT2, IDENT2))
         b = dc.sample_dcs(sys_, 5, seed=9)
@@ -142,6 +187,10 @@ class TestMlEstimate:
     def test_zero_records_rejected(self):
         with pytest.raises(ValueError):
             dc.ml_estimate(dc.EmpiricalCounts((2,), np.array([0, 0]), 0))
+
+    def test_carries_the_sample_size(self):
+        counts = dc.EmpiricalCounts((2, 2), np.array([1, 5, 0, 2]), 8)
+        assert dc.ml_estimate(counts).n == 8
 
     def test_concentration(self):
         # KL(qhat || q) < 10/sqrt(n) in at least 95 of 100 seeded trials.
