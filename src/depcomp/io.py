@@ -13,6 +13,7 @@ import json
 import math
 import os
 import tempfile
+from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
@@ -83,13 +84,19 @@ def render_json(obj) -> str:
 def write_text_atomic(path, text) -> None:
     """Write via a sibling temp file and rename, so the path is never partial.
 
-    ``text`` is a string or an iterable of strings, written in order.
+    ``text`` is a string or an iterable of strings, written in order.  The
+    file gets mode ``0o666`` less the process umask, as `open` would give it.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            # mkstemp creates the file 0600, and `os.replace` keeps that
+            # mode; give it the mode a plain `open` would.
+            os.chmod(tmp, 0o666 & ~umask)
             fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
@@ -203,33 +210,97 @@ def load_tensor(path) -> JointTensor:
     return JointTensor(tuple(shape), np.array(values, dtype=np.float64), n)
 
 
-# Sample-file rows formatted per `%`: the transient Python ints and text of
-# one chunk, not of the whole sample, set the writer's peak memory.
-_CSV_CHUNK_ROWS = 4096
+# Sample-file rows formatted per array pass: the int64 digit temporaries and
+# the byte grid of one chunk, not of the whole sample, set the writer's peak
+# memory.  An n = 2e4 sample is one chunk.
+_CSV_CHUNK_ROWS = 1 << 15
 
 
 def _sample_header(K: int) -> str:
     return "t," + ",".join(f"y{k}" for k in range(1, K + 1))
 
 
+def _csv_rows(columns) -> bytes:
+    """The lines ``c_1,...,c_m`` of the equal-length nonnegative int64 ``columns``.
+
+    Each value is written right-aligned into a zero-filled uint8 grid as wide
+    as its column's largest value, one ``//`` and ``%`` per digit place; the
+    commas and the newline have columns of their own, and dropping the zero
+    pad bytes in one boolean compaction leaves the text.
+    """
+    widths = [len(str(int(c.max()))) for c in columns]
+    grid = np.zeros((len(columns[0]), sum(widths) + len(widths)), dtype=np.uint8)
+    end = 0
+    for c, w in zip(columns, widths):
+        end += w
+        grid[:, end - 1] = c % 10 + 48
+        for i in range(1, w):
+            place = 10**i
+            grid[:, end - 1 - i] = np.where(c >= place, c // place % 10 + 48, 0)
+        grid[:, end] = ord(",")
+        end += 1
+    grid[:, -1] = ord("\n")
+    return grid[grid != 0].tobytes()
+
+
 def _sample_text(records: np.ndarray):
-    """The sample file of ``records`` in pieces, one `%` per chunk of rows."""
+    """The sample file of ``records`` in pieces: the header, then one piece per
+    chunk of `_CSV_CHUNK_ROWS` rows, each formatted by `_csv_rows`.
+
+    The text is byte for byte that of ``"%d,...,%d\\n"`` per record.
+    """
     n, K = records.shape
     yield _sample_header(K) + "\n"
-    table = np.column_stack((np.arange(1, n + 1, dtype=np.int64), records))
-    row = ",".join(["%d"] * (K + 1)) + "\n"
     for start in range(0, n, _CSV_CHUNK_ROWS):
-        block = table[start : start + _CSV_CHUNK_ROWS]
-        yield (row * len(block)) % tuple(block.ravel().tolist())
+        block = records[start : start + _CSV_CHUNK_ROWS]
+        t = np.arange(start + 1, start + len(block) + 1, dtype=np.int64)
+        yield _csv_rows([t, *block.T]).decode("ascii")
 
 
 def save_samples(path, batch: SampleBatch) -> None:
     """Write ``t,y1..yK`` and one ``t,y_1,...,y_K`` line per record, ``t`` from 1.
 
-    Each chunk of rows is formatted by one ``%`` over a repeated row format,
-    so no Python code runs per record.
+    Every value is written in plain decimal, without sign, spaces or leading
+    zeros, and every line ends in ``\\n``.  Chunks of rows are formatted as
+    arrays, so no Python code runs per record.
     """
     write_text_atomic(path, _sample_text(batch.records))
+
+
+def _canonical_records(data: bytes):
+    """The records of ``data`` when it is exactly what `save_samples` writes
+    with every symbol in 1..9, else ``None``.
+
+    Such a file's rows whose counters have ``D`` digits all have width
+    ``D + 2K + 1``, so each run of them is viewed as a 2-D byte array and
+    checked column by column: the counter digits against those of its ``t``,
+    the commas and the newline, and the symbols in ``b"1".."9"``.
+    """
+    head = data.find(b"\n")
+    K = data.count(b",", 0, head)
+    if head < 0 or K < 1 or data[:head] != _sample_header(K).encode():
+        return None
+    body = np.frombuffer(data, dtype=np.uint8, offset=head + 1)
+    pieces, pos, digits = [], 0, 1
+    while pos < body.size:
+        width, first = digits + 2 * K + 1, 10 ** (digits - 1)
+        # A run is whole (counters first..10*first-1) or is the last one; a
+        # remainder shorter than a row fails the next pass as zero rows.
+        rows = min(9 * first, (body.size - pos) // width)
+        if rows == 0:
+            return None
+        run = body[pos : pos + rows * width].reshape(rows, width)
+        t = np.arange(first, first + rows)
+        for i in range(digits):
+            if not np.array_equal(run[:, i], t // 10 ** (digits - 1 - i) % 10 + 48):
+                return None
+        symbols = run[:, digits + 1 :: 2]
+        commas, newlines = run[:, digits:-1:2], run[:, -1]
+        if not ((commas == ord(",")).all() and (newlines == ord("\n")).all() and (symbols - ord("1") < 9).all()):
+            return None
+        pieces.append(symbols - ord("0"))
+        pos, digits = pos + rows * width, digits + 1
+    return np.concatenate(pieces).astype(np.int64) if pieces else None
 
 
 def _parse_rows(rows: list, width: int) -> np.ndarray:
@@ -263,14 +334,12 @@ def _parse_rows(rows: list, width: int) -> np.ndarray:
     raise ValueError(f"sample file: row {bad} has a field that is not a 64-bit integer: {rows[bad - 1][:80]!r}")
 
 
-def load_samples(path, output_size: int | None = None) -> SampleBatch:
-    """Read a file written by `save_samples`; blank lines are skipped.
-
-    ``output_size`` defaults to the largest symbol observed; the error for a
-    symbol outside ``1..output_size`` names its row.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = list(filter(None, fh.read().split("\n")))
+def _text_records(data: bytes) -> np.ndarray:
+    """The records of ``data`` read as UTF-8 text with universal newlines, as
+    `open` reads it; blank lines are skipped, and the error for a bad row
+    names it."""
+    text = TextIOWrapper(BytesIO(data), encoding="utf-8").read()
+    lines = list(filter(None, text.split("\n")))
     if not lines:
         raise ValueError("sample file: empty")
     K = lines[0].count(",")
@@ -284,14 +353,33 @@ def load_samples(path, output_size: int | None = None) -> SampleBatch:
     if wrong.size:
         row = int(wrong[0]) + 1
         raise ValueError(f"sample file: row {row} has counter {t[row - 1]}, expected {row}")
-    records = table[:, 1:]
+    return table[:, 1:]
+
+
+def load_samples(path, output_size: int | None = None) -> SampleBatch:
+    """Read a sample file, reading the file once, as bytes.
+
+    A file exactly as `save_samples` writes it, with every symbol in 1..9, is
+    decoded by `_canonical_records` as fixed-width byte columns.  Any other
+    file goes through the text reader, which also accepts blank lines,
+    spaces or tabs around a field, ``+``, leading zeros, CRLF line ends and
+    a missing final newline, and whose errors name the bad row.
+
+    ``output_size`` defaults to the largest symbol observed; the error for a
+    symbol outside ``1..output_size`` names its row.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    records = _canonical_records(data)
+    if records is None:
+        records = _text_records(data)
+    top = int(records.max())
     if output_size is None:
-        output_size = int(records.max())
+        output_size = top
     elif output_size < 1:
         raise ValueError("output alphabet size must be at least 1")
-    bad = np.argwhere((records < 1) | (records > output_size))
-    if bad.size:
-        row, col = (int(i) + 1 for i in bad[0])
+    if records.min() < 1 or top > output_size:
+        row, col = (int(i) + 1 for i in np.argwhere((records < 1) | (records > output_size))[0])
         raise ValueError(f"sample file: row {row} has y{col} = {records[row - 1, col - 1]}, outside 1..{output_size}")
     return SampleBatch(output_size, records)
 

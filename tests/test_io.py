@@ -7,6 +7,7 @@ import pytest
 
 import depcomp as dc
 from depcomp.io import (
+    _CSV_CHUNK_ROWS,
     load_result,
     load_samples,
     load_system,
@@ -70,6 +71,18 @@ class TestAtomicWrite:
         with pytest.raises(RuntimeError):
             write_text_atomic(tmp_path / "doc.json", pieces())
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_mode_follows_the_umask(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            (tmp_path / "plain").write_text("x\n")
+            write_text_atomic(tmp_path / "doc.json", "x\n")
+            save_samples(tmp_path / "samples.csv", dc.SampleBatch(2, np.array([[1, 2]])))
+        finally:
+            os.umask(previous)
+        for name in ("plain", "doc.json", "samples.csv"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
 
 
 class TestSystemFile:
@@ -161,9 +174,17 @@ def reference_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-# (L, L', K, n): one channel, one record, two-digit symbols, a whole number
-# of the writer's 4096-row chunks, more than 2^15 records.
-SAMPLE_SHAPES = [(2, 3, 1, 50), (2, 2, 3, 1), (2, 12, 3, 400), (2, 2, 2, 2**13), (2, 2, 2, 2**15 + 3)]
+# (L, L', K, n): one channel, one record, counters crossing 9 -> 10 and
+# 99 -> 100 inside one chunk among one- and two-digit symbols, exactly one of
+# the writer's chunks and one chunk plus one row, two chunks plus three rows.
+SAMPLE_SHAPES = [
+    (2, 3, 1, 50),
+    (2, 2, 3, 1),
+    (2, 12, 3, 400),
+    (2, 2, 2, _CSV_CHUNK_ROWS),
+    (2, 2, 2, _CSV_CHUNK_ROWS + 1),
+    (2, 2, 2, 2 * _CSV_CHUNK_ROWS + 3),
+]
 
 
 def sampled_batch(L, Lp, K, n):
@@ -176,6 +197,8 @@ class TestSampleFile:
         path = tmp_path / "samples.csv"
         save_samples(path, batch)
         assert path.read_text() == "t,y1,y2\n1,1,3\n2,2,1\n"
+        save_samples(path, dc.SampleBatch(12, np.array([[9, 12], [10, 1], [1, 10]])))
+        assert path.read_text() == "t,y1,y2\n1,9,12\n2,10,1\n3,1,10\n"
         for shape in SAMPLE_SHAPES:
             batch = sampled_batch(*shape)
             save_samples(path, batch)
@@ -199,6 +222,62 @@ class TestSampleFile:
         path = tmp_path / "samples.csv"
         path.write_text("\nt,y1,y2\n\n1,1,2\n\n\n2,2,1\n\n")
         np.testing.assert_array_equal(load_samples(path).records, [[1, 2], [2, 1]])
+
+    @pytest.mark.parametrize(
+        "text, records, output_size",
+        [
+            (b"t,y1,y2\n1, 2 ,\t1\n 2,1,2\t\n", [[2, 1], [1, 2]], 2),
+            (b"t,y1,y2\n1,+2,1\n+2,1,+2\n", [[2, 1], [1, 2]], 2),
+            (b"t,y1,y2\n01,2,1\n2,01,002\n", [[2, 1], [1, 2]], 2),
+            (b"t,y1,y2\r\n1,2,1\r\n2,1,2\r\n", [[2, 1], [1, 2]], 2),
+            (b"\n\nt,y1,y2\n1,2,1\n\n2,1,2\n", [[2, 1], [1, 2]], 2),
+            (b"t,y1,y2\n1,2,1\n2,1,2", [[2, 1], [1, 2]], 2),
+            (b"t,y1,y2\n1,12,1\n2,10,9\n", [[12, 1], [10, 9]], 12),
+        ],
+        ids=["spaces-and-tabs", "plus-sign", "leading-zeros", "crlf", "blank-lines", "no-final-newline", "Lprime-12"],
+    )
+    def test_lenient_forms(self, tmp_path, text, records, output_size):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(text)
+        batch = load_samples(path)
+        assert batch.output_size == output_size
+        np.testing.assert_array_equal(batch.records, records)
+
+    def test_written_file_is_read_without_the_text_parser(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.loadtxt called on a file as save_samples writes it")
+
+        path = tmp_path / "samples.csv"
+        batch = sampled_batch(2, 9, 4, 1234)
+        save_samples(path, batch)
+        monkeypatch.setattr(np, "loadtxt", refuse)
+        for output_size in (None, 9, 10):
+            loaded = load_samples(path, output_size)
+            assert loaded.output_size == (output_size or batch.records.max())
+            np.testing.assert_array_equal(loaded.records, batch.records)
+
+    @pytest.mark.parametrize(
+        "edit, output_size, match",
+        [
+            (lambda row: row[:-2] + "0\n", None, r"row 120 has y3 = 0, outside 1\.\.2"),
+            (lambda row: row.replace(",", ";", 1), None, "row 120 has 3 fields, expected 4"),
+            (lambda row: "121" + row[3:], None, "row 120 has counter 121, expected 120"),
+            (lambda row: row[:-1] + ",", None, "row 120 has 8 fields, expected 4"),
+            (lambda row: row, 1, r"row \d+ has y\d = 2, outside 1\.\.1"),
+        ],
+        ids=["symbol-0", "semicolon", "counter", "newline-to-comma", "output-size-below-symbols"],
+    )
+    def test_fixed_width_fault_names_its_row(self, tmp_path, edit, output_size, match):
+        # Each edit keeps row 120 (with its newline) at its width, so only the
+        # byte-column checks can send the file on to the text reader.
+        path = tmp_path / "samples.csv"
+        save_samples(path, sampled_batch(2, 2, 3, 150))
+        text = path.read_text()
+        start = text.index("\n120,") + 1
+        end = text.index("\n", start) + 1
+        path.write_text(text[:start] + edit(text[start:end]) + text[end:])
+        with pytest.raises(ValueError, match=f"^sample file: {match}"):
+            load_samples(path, output_size)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"
