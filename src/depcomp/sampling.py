@@ -68,9 +68,17 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class EmpiricalCounts:
-    """Occurrence counts of output tuples, flat in the same layout as tensors."""
+    """Occurrence counts of the observed output tuples, sparse over the law's cells.
+
+    ``cells`` are the flat C-order indices of the tuples seen, strictly
+    increasing (the same layout as a `JointTensor`'s ``values``), and
+    ``counts[i] >= 1`` is how often cell ``cells[i]`` occurred.  A sample of
+    ``n`` records holds at most ``n`` cells, whatever ``prod(shape)`` is, and
+    validation costs time in the number of cells held.
+    """
 
     shape: tuple
+    cells: np.ndarray
     counts: np.ndarray
     n: int
 
@@ -78,15 +86,25 @@ class EmpiricalCounts:
         shape = tuple(int(s) for s in self.shape)
         if len(shape) == 0 or any(s < 1 for s in shape):
             raise ValueError(f"invalid shape {shape!r}")
+        cells = np.asarray(self.cells, dtype=np.int64)
         arr = np.asarray(self.counts, dtype=np.int64)
-        if arr.ndim != 1 or arr.size != math.prod(shape):
-            raise ValueError(f"flat counts of length {arr.size} do not match shape {shape!r}")
-        if arr.min() < 0:
-            raise ValueError("counts must be nonnegative")
+        if cells.ndim != 1 or arr.ndim != 1 or cells.size != arr.size:
+            raise ValueError(
+                f"cells {cells.shape} and counts {arr.shape} must be 1-D and of one length"
+            )
+        if cells.size:
+            if np.any(cells[1:] <= cells[:-1]):
+                raise ValueError("cells must be strictly increasing")
+            size = math.prod(shape)
+            if cells[0] < 0 or cells[-1] >= size:
+                raise ValueError(f"cells must lie in 0..{size - 1} for shape {shape!r}")
+            if arr.min() < 1:
+                raise ValueError("each listed cell must have a positive count")
         total = int(arr.sum())
         if total != int(self.n):
             raise ValueError(f"counts sum to {total}, expected n={self.n}")
         object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "cells", _frozen_array(cells, np.int64))
         object.__setattr__(self, "counts", _frozen_array(arr, np.int64))
         object.__setattr__(self, "n", int(self.n))
 
@@ -163,24 +181,37 @@ def sample_dcs(system: DCSystem, n: int, seed: int, _chunk: int = 1 << 15) -> Sa
 
 
 def type_counts(batch: SampleBatch) -> EmpiricalCounts:
-    """Count occurrences of each output tuple (order-invariant)."""
+    """Count occurrences of each observed output tuple (order-invariant).
+
+    The records' flat cell indices are sorted and run-length counted, so
+    the cost is ``O(n log n)`` in the number of records and never touches
+    the ``L'^K`` cells that were not observed.  A table of more than
+    ``MAX_DENSE_CELLS`` cells is still refused, since `ml_estimate` would
+    form it.
+    """
     shape = (batch.output_size,) * batch.num_channels
-    cells = math.prod(shape)
-    check_dense_cells(cells, "counting output tuples")
+    check_dense_cells(math.prod(shape), "counting output tuples")
     flat_idx = np.ravel_multi_index(tuple((batch.records - 1).T), shape)
-    counts = np.bincount(flat_idx, minlength=cells)
+    cells, counts = np.unique(flat_idx, return_counts=True)
+    cells.flags.writeable = False
     counts.flags.writeable = False
-    return EmpiricalCounts(shape, counts, batch.n)
+    return EmpiricalCounts(shape, cells, counts, batch.n)
 
 
 def ml_estimate(counts: EmpiricalCounts) -> JointTensor:
     """Maximum-likelihood (empirical frequency) estimate of the joint law.
 
-    The tensor carries the sample size ``counts.n``.
+    The observed cells are scattered into a dense zero law, each divided
+    once by ``n``, so the values equal a dense ``counts / n`` byte for byte.
+    A law of more than ``MAX_DENSE_CELLS`` cells is refused before it is
+    allocated.  The tensor carries the sample size ``counts.n``.
     """
     if counts.n < 1:
         raise ValueError("cannot estimate from zero records")
-    q = counts.counts / counts.n
+    cells = math.prod(counts.shape)
+    check_dense_cells(cells, "the empirical law")
+    q = np.zeros(cells)
+    q[counts.cells] = counts.counts / counts.n
     q.flags.writeable = False
     return JointTensor(counts.shape, q, counts.n)
 

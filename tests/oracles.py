@@ -6,6 +6,7 @@ with the package, so tests compare the library against a second derivation
 rather than against itself.
 """
 
+import collections
 import decimal
 import itertools
 import math
@@ -172,3 +173,8 @@ def best_relabeling(p_true, p_est):
         if d < best_d - 1e-12:
             best_map, best_d = perm, d
     return best_map, best_d
+
+
+def tuple_counts(records):
+    """Occurrences of each record's row tuple, counted one row at a time."""
+    return collections.Counter(tuple(int(y) for y in row) for row in records)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import depcomp as dc
+
+import oracles
 
 IDENT2 = dc.Channel(np.eye(2))
 FAIR_COPY = dc.DCSystem(dc.Distribution(np.array([0.5, 0.5])), (IDENT2, IDENT2))
@@ -25,18 +29,37 @@ class TestSampleBatch:
 
 class TestEmpiricalCounts:
     def test_totals_enforced(self):
-        dc.EmpiricalCounts((2,), np.array([2, 1]), 3)
-        with pytest.raises(ValueError):
-            dc.EmpiricalCounts((2,), np.array([2, 1]), 4)
-        with pytest.raises(ValueError):
-            dc.EmpiricalCounts((2,), np.array([-1, 4]), 3)
+        dc.EmpiricalCounts((2,), np.array([0, 1]), np.array([2, 1]), 3)
+        with pytest.raises(ValueError, match="sum to 3"):
+            dc.EmpiricalCounts((2,), np.array([0, 1]), np.array([2, 1]), 4)
+        with pytest.raises(ValueError, match="positive count"):
+            dc.EmpiricalCounts((2,), np.array([0, 1]), np.array([-1, 4]), 3)
 
     def test_caller_array_is_copied(self):
-        raw = np.array([2, 1])
-        counts = dc.EmpiricalCounts((2,), raw, 3)
-        raw[0] = 0
+        raw_cells, raw = np.array([0, 1]), np.array([2, 1])
+        counts = dc.EmpiricalCounts((2,), raw_cells, raw, 3)
+        raw_cells[0], raw[0] = 1, 0
+        np.testing.assert_array_equal(counts.cells, [0, 1])
         np.testing.assert_array_equal(counts.counts, [2, 1])
-        assert counts.counts.dtype == np.int64 and not counts.counts.flags.writeable
+        for arr in (counts.cells, counts.counts):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "cells, counts, match",
+        [
+            ([3, 1], [1, 1], "strictly increasing"),
+            ([1, 1], [1, 1], "strictly increasing"),
+            ([-1, 2], [1, 1], "lie in 0..3"),
+            ([2, 4], [1, 1], "lie in 0..3"),
+            ([0, 2], [2, 0], "positive count"),
+            ([0, 2], [2], "one length"),
+            ([[0, 2]], [[1, 1]], "1-D"),
+        ],
+        ids=["unsorted", "duplicate", "negative", "out-of-range", "zero-count", "length", "2-D"],
+    )
+    def test_malformed_cells_rejected(self, cells, counts, match):
+        with pytest.raises(ValueError, match=match):
+            dc.EmpiricalCounts((2, 2), np.array(cells), np.array(counts), 2)
 
 
 def records_by_gather(system, n, seed, chunk):
@@ -137,38 +160,78 @@ class TestSampleDcs:
 
 class TestTypeCounts:
     def test_counting(self):
-        b = dc.SampleBatch(2, np.array([[1, 1], [1, 1], [2, 1]]))
+        b = dc.SampleBatch(2, np.array([[2, 1], [1, 1], [1, 1]]))
         counts = dc.type_counts(b)
         assert counts.n == 3
-        np.testing.assert_array_equal(
-            counts.counts.reshape(2, 2), [[2, 0], [1, 0]]
-        )
+        assert counts.shape == (2, 2)
+        # Cells (1, 1) and (2, 1) are flat 0 and 2; the unseen ones are absent.
+        np.testing.assert_array_equal(counts.cells, [0, 2])
+        np.testing.assert_array_equal(counts.counts, [2, 1])
 
     def test_single_record(self):
         counts = dc.type_counts(dc.SampleBatch(3, np.array([[2, 3]])))
         assert counts.n == 1
-        assert counts.counts.sum() == 1
-        assert counts.counts.reshape(3, 3)[1, 2] == 1
+        np.testing.assert_array_equal(counts.cells, [np.ravel_multi_index((1, 2), (3, 3))])
+        np.testing.assert_array_equal(counts.counts, [1])
 
     def test_order_invariance(self):
         rng = np.random.default_rng(8)
         b = dc.sample_dcs(dc.random_system(2, 3, 2, 21), 400, seed=1)
         shuffled = dc.SampleBatch(3, b.records[rng.permutation(b.n)])
-        np.testing.assert_array_equal(
-            dc.type_counts(b).counts, dc.type_counts(shuffled).counts
-        )
+        a, c = dc.type_counts(b), dc.type_counts(shuffled)
+        np.testing.assert_array_equal(a.cells, c.cells)
+        np.testing.assert_array_equal(a.counts, c.counts)
 
     def test_counts_and_estimate_are_read_only(self):
         counts = dc.type_counts(dc.SampleBatch(2, np.array([[1, 2], [2, 2]])))
         q = dc.ml_estimate(counts)
-        for arr in (counts.counts, q.values):
+        for arr in (counts.cells, counts.counts, q.values):
             with pytest.raises(ValueError):
                 arr[0] = 1
 
     def test_refuses_oversized_table(self):
-        # 2^40 cells for a single record: refused before bincount allocates.
+        # 2^40 cells for a single record: refused before `ml_estimate` could
+        # form the dense law, though counting alone would need one cell.
         with pytest.raises(ValueError, match="dense cells"):
             dc.type_counts(dc.SampleBatch(2, np.ones((1, 40), dtype=np.int64)))
+
+    @pytest.mark.parametrize("Lprime, K", [(2, 3), (3, 5), (4, 9)])
+    def test_counts_match_the_tuple_oracle(self, Lprime, K):
+        # Both sides of cells vs n: 8 and 243 cells are fewer than most n
+        # here, 262 144 cells are more than every n.
+        rng = np.random.default_rng(1000 * Lprime + K)
+        shape = (Lprime,) * K
+        for n in (1, 2, 7, 50, 333, 1000, 2500, 4000, 4999, 5000):
+            # A skewed law, so some cells repeat and many stay empty.
+            w = rng.dirichlet(np.full(Lprime, 0.5), size=K)
+            records = np.stack([rng.choice(Lprime, size=n, p=w[k]) + 1 for k in range(K)], axis=1)
+            counts = dc.type_counts(dc.SampleBatch(Lprime, records))
+            want = sorted(oracles.tuple_counts(records).items())
+            got = [
+                (tuple(int(i) + 1 for i in np.unravel_index(c, shape)), int(m))
+                for c, m in zip(counts.cells, counts.counts)
+            ]
+            assert got == want
+            flat = np.ravel_multi_index(tuple((records - 1).T), shape)
+            dense = np.bincount(flat, minlength=Lprime**K) / n
+            assert dc.ml_estimate(counts).values.tobytes() == dense.tobytes()
+
+    def test_memory_stays_with_the_records(self):
+        # (4, 4, 11) has 4 194 304 cells (32 MiB dense) against 20 000
+        # records: counting must not allocate the table, and only the law
+        # that `ml_estimate` returns may be dense.
+        batch = dc.sample_dcs(dc.random_system(4, 4, 11, 5), 20_000, seed=6)
+        tracemalloc.start()
+        try:
+            counts = dc.type_counts(batch)
+            _, counting_peak = tracemalloc.get_traced_memory()
+            q = dc.ml_estimate(counts)
+            _, total_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counting_peak < 4 * 2**20
+        assert total_peak < 36 * 2**20
+        assert q.values.size == 4**11
 
 
 class TestMlEstimate:
@@ -180,17 +243,28 @@ class TestMlEstimate:
         assert q.values.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass(self):
-        counts = dc.EmpiricalCounts((2, 2), np.array([0, 5, 0, 0]), 5)
+        counts = dc.EmpiricalCounts((2, 2), np.array([1]), np.array([5]), 5)
         q = dc.ml_estimate(counts)
         np.testing.assert_array_equal(q.values, [0.0, 1.0, 0.0, 0.0])
+        # Unobserved cells are +0.0, as 0 / n is.
+        assert not np.signbit(q.values).any()
 
     def test_zero_records_rejected(self):
-        with pytest.raises(ValueError):
-            dc.ml_estimate(dc.EmpiricalCounts((2,), np.array([0, 0]), 0))
+        empty = np.array([], dtype=np.int64)
+        with pytest.raises(ValueError, match="zero records"):
+            dc.ml_estimate(dc.EmpiricalCounts((2,), empty, empty, 0))
 
     def test_carries_the_sample_size(self):
-        counts = dc.EmpiricalCounts((2, 2), np.array([1, 5, 0, 2]), 8)
-        assert dc.ml_estimate(counts).n == 8
+        counts = dc.EmpiricalCounts((2, 2), np.array([0, 1, 3]), np.array([1, 5, 2]), 8)
+        q = dc.ml_estimate(counts)
+        assert q.n == 8
+        np.testing.assert_array_equal(q.values, np.array([1, 5, 0, 2]) / 8)
+
+    def test_refuses_oversized_law(self):
+        # One observed cell of 2^40: the counts are valid, the dense law is not.
+        counts = dc.EmpiricalCounts((2,) * 40, np.array([0]), np.array([1]), 1)
+        with pytest.raises(ValueError, match="dense cells"):
+            dc.ml_estimate(counts)
 
     def test_concentration(self):
         # KL(qhat || q) < 10/sqrt(n) in at least 95 of 100 seeded trials.
