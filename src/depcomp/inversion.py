@@ -2,38 +2,31 @@
 
 Given (an estimate of) the joint output law of ``K >= 3`` channels reading a
 common hidden draw, the solver searches for a hidden distribution and channel
-stack reproducing it.  The fit objective is block-multiconvex: with all blocks
-but one frozen, the model is linear in the free block, so each block is a
-convex problem over a product of probability simplices.  Holding ``p`` as an
-(L, 1) column makes every block column-stochastic, so one projected-gradient
-step serves all of them.  The objective is squared Euclidean distance ("l2sq",
-the default) or the smoothed relative entropy ``D(model || q)`` ("kl").  The
-solver has no forward map of its own: every full law it forms comes from
+stack reproducing it.  The law ``q(y) = sum_x p(x) prod_k W_k(y_k | x)`` uses
+``p`` only multiplied into a channel, so a restart's state is ``K`` blocks of
+one shape ``(L', L)``: ``J = W_1 diag(p)``, the joint law of ``(Y_1, X)`` and
+one simplex of ``L' * L`` cells, then the channels ``W_2..W_K``, whose
+columns are simplices of ``L'`` cells.  The law is the blocks' Khatri-Rao
+product times a column of ones, and the fit unfolds ``J`` into
+``p = J.sum(axis=0)`` and ``W_1 = J / p`` (`_system`).  The objective is
+block-multiconvex: with all blocks but one frozen, the model is linear in the
+free block, so one projected-gradient step serves every block.  It is squared
+Euclidean distance ("l2sq", the default) or the smoothed relative entropy
+``D(model || q)`` ("kl").  Every full law the solver forms comes from
 `core.forward_law`, and a block's candidates are scored through the law's
-unfolding along one channel axis.  A sweep takes exactly one backtracking step
-per block (hidden distribution first, then each channel), each starting afresh
-at step 1, plus one extrapolation, accepting only strict decreases of one
-canonical objective evaluation, which makes the iteration monotone by
-construction.  A restart stops at the fit floor, on convergence (``_STEP_TOL``
-bounds the largest entry change of any block), or after ``max_iters`` sweeps;
+unfolding along one axis.  A sweep takes one backtracking step per block, in
+order, each starting afresh at step 1, plus one extrapolation, accepting only
+strict decreases, so the iteration is monotone by construction.  A restart
+stops at the fit floor, on convergence (``_STEP_TOL`` bounds the largest
+entry change of ``J`` and of every channel), or after ``max_iters`` sweeps;
 its log names which in ``stop_reason`` ("fit_floor", "converged" or
 "max_iters").  Multi-start over seeded restarts guards against the poor local
 minima any single start can hit.  Restarts advance in lockstep as one stacked
-state, leaving it when they stop, so a sweep pays numpy's per-call overhead
-once for all of them.  The schedule depends on the target: on an exact law
-restart 0 runs alone first, and restarts 1..R-1 follow as a stack unless it
-reaches the fit floor; on a sampled law (a target that carries its sample
-size ``n``) the fit floor sits far below the sampling noise, so restart 0
-would nearly always run its whole budget alone, and all R restarts start
-together instead.  A block step backtracks on the whole stack: one shared step
-halves while any restart has not yet found a strict decrease, and each restart
-takes its first one.  A stack holds at most ``MAX_DENSE_CELLS // (cells * L)``
-restarts; more run in consecutive groups of that width.  Every restart follows
-its own path bit for bit whatever else shares its stack, and the restarts
-after the first to reach the fit floor are not run, so the log and the winner
-are those of a sequential multi-start.  Results are canonicalised to
-descending hidden mass so the permutation ambiguity cannot leak into
-comparisons.
+state (`_solve_stack`), each following its own path bit for bit, on the
+schedule `recover_system` sets from the target, and the restarts after the
+first to reach the fit floor are not run, so the log and the winner are those
+of a sequential multi-start.  Results are canonicalised to descending hidden
+mass so the permutation ambiguity cannot leak into comparisons.
 """
 
 from __future__ import annotations
@@ -87,10 +80,10 @@ class InversionConfig:
 
     ``objective`` is one of `OBJECTIVE_KINDS`, "kl" or "l2sq" (see
     `objective`).  ``max_iters`` counts sweeps.  The rest is fixed: a
-    converged sweep moves no entry of any block, ``p`` or a channel, by more
-    than ``_STEP_TOL`` (1e-10) and lowers the objective by at most
-    ``_OBJECTIVE_TOL`` (1e-12), and the "kl" smoothing is
-    ``_SMOOTHING_EPS`` (1e-12).
+    converged sweep moves no entry of any block, ``J = W_1 diag(p)`` or a
+    channel ``W_2..W_K``, by more than ``_STEP_TOL`` (1e-10) and lowers the
+    objective by at most ``_OBJECTIVE_TOL`` (1e-12), and the "kl" smoothing
+    is ``_SMOOTHING_EPS`` (1e-12).
     """
 
     L: int
@@ -220,31 +213,26 @@ def objective(candidate: DCSystem, q_hat: JointTensor, kind: str) -> float:
     return float(_objective(model.values[None, :], q_hat.values, kind)[0])
 
 
-def _others_product(Ws: np.ndarray, k: int) -> np.ndarray:
-    """Stacked Khatri-Rao product of every channel but channel ``k``."""
-    others = [Ws[:, j] for j in range(Ws.shape[1]) if j != k]
-    return khatri_rao(others) if others else np.ones((len(Ws), 1, Ws.shape[-1]))
+def _others_product(S: np.ndarray, k: int) -> np.ndarray:
+    """Stacked Khatri-Rao product of every block of the state but block ``k``."""
+    others = [S[:, j] for j in range(S.shape[1]) if j != k]
+    return khatri_rao(others) if others else np.ones((len(S), 1, S.shape[-1]))
 
 
-def _block_maps(P: np.ndarray, Ws: np.ndarray, i: int, B: np.ndarray, shape: tuple):
-    """Forward map and gradient pull-back of block ``i``, others frozen.
+def _block_maps(k: int, B: np.ndarray, shape: tuple):
+    """Forward map and gradient pull-back of block ``k``, the others frozen.
 
-    ``P`` stacks the restarts' ``p`` columns as ``(R, L, 1)`` and ``Ws``
-    their channels as ``(R, K, L', L)``; block 0 is ``p``, block ``k + 1``
-    is channel ``k``.  One path serves every block.  With ``k`` the block's
-    channel axis (the first channel for ``p``), the law's unfolding along
-    ``k`` is ``W_k @ (B * p).T = (W_k * p) @ B.T``, where ``B`` is the
-    Khatri-Rao product of the other channels (`_others_product`, formed
-    once per block visit and shared by ``p`` and ``W_1``); a candidate's
-    law is that product, with the candidate in place of ``W_k`` or ``p``,
-    folded back to C order.  The pull-back of ``g`` starts from
-    ``D = unfold_k(g) @ B``: it is ``D * p`` for a channel and the column
-    sums of ``D * W_k`` for ``p``.  No array has the ``L'^K * L`` cells of
-    the full Khatri-Rao product.  Both maps act on the whole stack, each
-    restart's slice exactly as it would act alone.
+    A state stacks each restart's blocks as ``(R, K, L', L)``: block 0 is
+    ``J = W_1 diag(p)`` and block ``k >= 1`` is channel ``W_{k+1}``, so the
+    law is the blocks' Khatri-Rao product times a column of ones, and its
+    unfolding along axis ``k`` is ``X @ B.T`` for every block ``X``, with
+    ``B`` the Khatri-Rao product of the other blocks (`_others_product`).
+    A candidate's law is that product folded back to C order; the pull-back
+    of ``g`` is ``unfold_k(g) @ B``, of shape ``(R, L', L)``.  ``fwd`` takes
+    the block in any shape holding its ``L' * L`` cells in C order.  No
+    array has the ``L'^K * L`` cells of the full Khatri-Rao product, and
+    each restart's slice is mapped exactly as it would be alone.
     """
-    k = max(i - 1, 0)
-    p, W = P.swapaxes(1, 2), Ws[:, k]
     # Every axis has L' cells, so the unfolding reshapes to ``shape`` itself;
     # axis 0 is the stack.
     n = len(shape)
@@ -252,20 +240,28 @@ def _block_maps(P: np.ndarray, Ws: np.ndarray, i: int, B: np.ndarray, shape: tup
     back = (0, *range(2, k + 2), 1, *range(k + 2, n + 1))
 
     def fwd(X):
-        U = (W * X.swapaxes(1, 2) if i == 0 else X * p) @ B.swapaxes(1, 2)
+        U = X.reshape(len(X), shape[k], -1) @ B.swapaxes(1, 2)
         return U.reshape(len(X), *shape).transpose(back).reshape(len(X), -1)
 
     def adj(g):
-        D = g.reshape(len(g), *shape).transpose(order).reshape(len(g), shape[k], -1) @ B
-        return (D * W).sum(axis=1)[:, :, None] if i == 0 else D * p
+        return g.reshape(len(g), *shape).transpose(order).reshape(len(g), shape[k], -1) @ B
 
     return fwd, adj
+
+
+def _project_state(S: np.ndarray) -> np.ndarray:
+    """Project an ``(R, K, L', L)`` state stack: ``J`` as one column of
+    ``L' * L`` cells, every channel column onto its own simplex."""
+    R, _, Lp, L = S.shape
+    J = _project_cols(S[:, :1].reshape(R, 1, Lp * L, 1)).reshape(R, 1, Lp, L)
+    return np.concatenate([J, _project_cols(S[:, 1:])], axis=1)
 
 
 def _descend(X, fwd, adj, q, m_cur, f_cur, kind):
     """One backtracking projected-gradient step per restart on a block stack.
 
-    ``fwd, adj`` are the block's `_block_maps`.  ``m_cur`` holds the flat
+    ``fwd, adj`` are the block's `_block_maps`, and ``X`` holds the block in
+    the shape whose columns are its simplices.  ``m_cur`` holds the flat
     model laws of the current states, ``fwd(X)`` up to rounding, and
     ``f_cur`` their objectives.  One step, shared by the whole stack, starts
     at 1 and halves while some restart is pending; each restart takes its
@@ -274,12 +270,12 @@ def _descend(X, fwd, adj, q, m_cur, f_cur, kind):
     the candidates of restarts that have settled are computed and discarded.
     The new block stack comes back with its model laws, objectives and each
     restart's largest entry change.  A restart still failing below
-    ``_MIN_STEP`` keeps its block unchanged.  Under "l2sq" a channel's
-    curvature along each output row is ``2 diag(p) B^T B diag(p)``, whose
-    trace is at most ``2 sum_c p_c^2 <= 2``, so step 1 is usually accepted
-    at once.
+    ``_MIN_STEP`` keeps its block unchanged.  Under "l2sq" a block's
+    curvature along each output row is ``2 B^T B``; for a channel, column
+    ``x`` of ``B`` carries ``J``'s column ``x``, so the trace is at most
+    ``2 sum_x p_x^2 <= 2`` and step 1 is usually accepted at once.
     """
-    G = adj(_grad(m_cur, q, kind))
+    G = adj(_grad(m_cur, q, kind)).reshape(X.shape)
     X_new, m_new, f_new = X, m_cur, f_cur
     pending = np.ones(len(X), dtype=bool)
     s = 1.0
@@ -304,36 +300,37 @@ def _descend(X, fwd, adj, q, m_cur, f_cur, kind):
 def _solve_stack(q, shape, starts: list, ids: list, cfg: InversionConfig) -> list:
     """Alternating block descent from several starts in lockstep.
 
-    ``starts[r]`` is restart ``ids[r]``'s list of column-stochastic blocks,
-    ``p`` as an (L, 1) column followed by the channels.  The state stacks
-    them: ``P`` is ``(R', L, 1)`` and ``Ws`` is ``(R', K, L', L)``, so each
-    sweep pays the Python overhead once for all restarts, and every restart
-    follows the path it would follow alone, bit for bit.  ``m_cur`` holds
-    the flat model laws of the accepted states: `core.forward_law` at the
-    start and at an accepted extrapolation, else the law `_block_maps` gave
-    the last accepted block candidate, which agrees with `core.forward_law`
-    up to rounding.  Each block's gradient starts from it, and since only
-    strict decreases are accepted no trace ever increases.  One sweep takes
-    one projected step per block, ``p`` first, then each channel, each
+    ``starts[r]`` is restart ``ids[r]``'s ``(K, L', L)`` state (see
+    `_block_maps`): ``J = W_1 diag(p)`` followed by the channels
+    ``W_2..W_K``.  The stack of states is one ``(R', K, L', L)`` array, so
+    each sweep pays the Python overhead once for all restarts, and every
+    restart follows the path it would follow alone, bit for bit.  ``m_cur``
+    holds the flat model laws of the accepted states: `core.forward_law` at
+    the start and at an accepted extrapolation, else the law `_block_maps`
+    gave the last accepted block candidate, which agrees with
+    `core.forward_law` up to rounding.  Each block's gradient starts from
+    it, and since only strict decreases are accepted no trace ever
+    increases.  One sweep takes one projected step per block in order, each
     backtracking from step 1 with no step carried over from earlier sweeps,
     then tries an extrapolated point along the last sweep's movement with
     each restart's own factor and keeps it for the restarts whose objective
     it strictly decreases (monotone heavy-ball), which breaks the slow
     zigzag of plain alternation.  A restart stops at ``_FIT_FLOOR``
-    ("fit_floor"), once a sweep moves no block entry by more than
-    ``_STEP_TOL`` nor the objective by more than ``_OBJECTIVE_TOL``
+    ("fit_floor"), once a sweep moves no entry of ``J`` or a channel by more
+    than ``_STEP_TOL`` nor the objective by more than ``_OBJECTIVE_TOL``
     ("converged"), or after ``max_iters`` sweeps ("max_iters"); it then
     leaves the stack.  Once a restart reaches the fit floor, the restarts
     after it are dropped, as a sequential multi-start would never have run
-    them.  Returns ``(id, blocks, objective, sweeps, stop reason, trace)``
+    them.  Returns ``(id, state, objective, sweeps, stop reason, trace)``
     per kept restart, by id.
     """
     kind = cfg.objective
     ids = np.asarray(ids)
-    P = np.stack([blocks[0] for blocks in starts])
-    Ws = np.stack([blocks[1:] for blocks in starts])
-    K = Ws.shape[1]
-    m_cur = forward_law(P[:, :, 0], list(Ws.swapaxes(0, 1)))
+    S = np.stack(starts)
+    K, Lp, L = S.shape[1:]
+    # The shape in which each block's columns are its simplices.
+    views = [(Lp * L, 1)] + [(Lp, L)] * (K - 1)
+    m_cur = forward_law(np.ones((len(S), L)), list(S.swapaxes(0, 1)))
     f_cur = _objective(m_cur, q, kind)
     traces = [[f] for f in f_cur.tolist()]
     gamma = np.ones(len(ids))
@@ -342,31 +339,21 @@ def _solve_stack(q, shape, starts: list, ids: list, cfg: InversionConfig) -> lis
     done = []
     for iters in range(1, cfg.max_iters + 1):
         f_prev = f_cur
-        anchor = (P, Ws.copy())
+        anchor = S.copy()
         move = 0.0
-        for i in range(K + 1):
-            if i != 1:  # p and W_1 share B, the product of W_2..W_K
-                B = _others_product(Ws, max(i - 1, 0))
-            fwd, adj = _block_maps(P, Ws, i, B, shape)
-            X = P if i == 0 else Ws[:, i - 1]
-            X, m_cur, f_cur, d = _descend(X, fwd, adj, q, m_cur, f_cur, kind)
-            if i == 0:
-                P = X
-            else:
-                Ws[:, i - 1] = X
+        for k, view in enumerate(views):
+            fwd, adj = _block_maps(k, _others_product(S, k), shape)
+            X, m_cur, f_cur, d = _descend(S[:, k].reshape(-1, *view), fwd, adj, q, m_cur, f_cur, kind)
+            S[:, k] = X.reshape(-1, Lp, L)
             move = np.maximum(move, d)
         if prev is not None:
-            g = gamma[:, None, None]
-            ex_P = _project_cols(P + g * (P - prev[0]))
-            ex_W = _project_cols(Ws + g[..., None] * (Ws - prev[1]))
-            m_ex = forward_law(ex_P[:, :, 0], list(ex_W.swapaxes(0, 1)))
+            ex = _project_state(S + gamma[:, None, None, None] * (S - prev))
+            m_ex = forward_law(np.ones((len(S), L)), list(ex.swapaxes(0, 1)))
             f_ex = _objective(m_ex, q, kind)
             take = f_ex < f_cur
             if take.any():
-                d_ex = np.maximum(np.abs(ex_P - P).max(axis=(1, 2)), np.abs(ex_W - Ws).max(axis=(1, 2, 3)))
-                move = np.where(take, np.maximum(move, d_ex), move)
-                P = np.where(take[:, None, None], ex_P, P)
-                Ws = np.where(take[:, None, None, None], ex_W, Ws)
+                move = np.where(take, np.maximum(move, np.abs(ex - S).max(axis=(1, 2, 3))), move)
+                S = np.where(take[:, None, None, None], ex, S)
                 m_cur = np.where(take[:, None], m_ex, m_cur)
                 f_cur = np.where(take, f_ex, f_cur)
             # Growing gamma never falls below 0.25, nor shrinking it above 4.
@@ -381,15 +368,14 @@ def _solve_stack(q, shape, starts: list, ids: list, cfg: InversionConfig) -> lis
             continue
         for r in np.flatnonzero(stop):
             reason = "fit_floor" if floor[r] else "converged" if converged[r] else "max_iters"
-            blocks = [P[r].copy(), *Ws[r].copy()]
-            done.append((int(ids[r]), blocks, float(f_cur[r]), iters, reason, traces[r]))
+            done.append((int(ids[r]), S[r].copy(), float(f_cur[r]), iters, reason, traces[r]))
         if floor.any():
             floor_id = min(floor_id, ids[floor].min())
         keep = np.flatnonzero(~stop & (ids < floor_id))
         if keep.size == 0:
             break
-        P, Ws, prev = P[keep], Ws[keep], (prev[0][keep], prev[1][keep])
-        m_cur, f_cur, gamma, ids = m_cur[keep], f_cur[keep], gamma[keep], ids[keep]
+        S, prev, m_cur, f_cur = S[keep], prev[keep], m_cur[keep], f_cur[keep]
+        gamma, ids = gamma[keep], ids[keep]
         traces = [traces[r] for r in keep]
     return sorted(entry for entry in done if entry[0] <= floor_id)
 
@@ -409,8 +395,11 @@ def _g2(q: np.ndarray, n: int | None, system: DCSystem) -> float | None:
     return float(2.0 * n * np.sum(q[seen] * np.log(q[seen] / m[seen])))
 
 
-def _random_start(rng: Generator, L: int, Lp: int, K: int) -> list:
-    blocks = [rng.dirichlet(np.ones(L))[:, None]]
+def _random_start(rng: Generator, L: int, Lp: int, K: int) -> np.ndarray:
+    """One restart's ``(K, L', L)`` start from ``p``, drawn first, and each
+    channel in turn; block 0 is ``J = W_1 diag(p)``."""
+    p = rng.dirichlet(np.ones(L))
+    blocks = []
     for _ in range(K):
         noise = rng.dirichlet(np.ones(Lp), size=L).T
         if L == Lp:
@@ -418,7 +407,19 @@ def _random_start(rng: Generator, L: int, Lp: int, K: int) -> list:
             blocks.append((1.0 - beta) * np.eye(L) + beta * noise)
         else:
             blocks.append(noise)
-    return blocks
+    blocks[0] = blocks[0] * p
+    return np.stack(blocks)
+
+
+def _system(state: np.ndarray) -> DCSystem:
+    """The system of one ``(K, L', L)`` state: ``p = J.sum(axis=0)`` and
+    ``W_1 = J / p``.  A hidden symbol of mass 0 leaves its ``W_1`` column
+    undetermined; it gets the uniform ``1/L'``, and ``near_boundary`` flags
+    such a fit."""
+    J, *Ws = state
+    p = J.sum(axis=0)
+    W1 = np.divide(J, p, out=np.full_like(J, 1.0 / len(J)), where=p > 0.0)
+    return DCSystem(Distribution(p), tuple(Channel(W) for W in (W1, *Ws)))
 
 
 def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResult:
@@ -466,7 +467,7 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
             for j in group
         ]
         done = _solve_stack(q, q_hat.shape, starts, list(group), config)
-        for j, blocks, f_final, iters, reason, trace in done:
+        for j, state, f_final, iters, reason, trace in done:
             logs.append(
                 RestartLog(
                     restart=j,
@@ -478,13 +479,11 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
                 )
             )
             if best is None or f_final < best[0]:
-                best = (f_final, j, blocks, reason != "max_iters")
+                best = (f_final, j, state, reason != "max_iters")
         if logs[-1].stop_reason == "fit_floor":
             break
-    f_best, j_best, (p_best, *Ws_best), conv_best = best
-    system = canonicalize(
-        DCSystem(Distribution(p_best[:, 0]), tuple(Channel(W) for W in Ws_best))
-    )
+    f_best, j_best, state, conv_best = best
+    system = canonicalize(_system(state))
     return InversionResult(
         p_hat=system.p,
         channels_hat=system.channels,

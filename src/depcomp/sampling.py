@@ -191,7 +191,10 @@ def type_counts(batch: SampleBatch) -> EmpiricalCounts:
     """
     shape = (batch.output_size,) * batch.num_channels
     check_dense_cells(math.prod(shape), "counting output tuples")
-    flat_idx = np.ravel_multi_index(tuple((batch.records - 1).T), shape)
+    # Row-major strides: `SampleBatch` bounds every symbol to 1..L' and the
+    # check above bounds L'^K, so every stride and flat index fits in int64.
+    strides = batch.output_size ** np.arange(batch.num_channels - 1, -1, -1, dtype=np.int64)
+    flat_idx = batch.records @ strides - strides.sum()
     cells, counts = np.unique(flat_idx, return_counts=True)
     cells.flags.writeable = False
     counts.flags.writeable = False

@@ -8,7 +8,9 @@ import pytest
 import depcomp as dc
 from depcomp.core import forward_law
 from depcomp import core, inversion
-from depcomp.inversion import OBJECTIVE_KINDS, _MIN_STEP, _block_maps, _descend, _g2, _objective, _others_product
+from depcomp.inversion import (
+    OBJECTIVE_KINDS, _MIN_STEP, _block_maps, _descend, _g2, _objective, _others_product, _project_state, _system,
+)
 from oracles import best_relabeling, nearest_simplex_point
 
 IDENT2 = dc.Channel(np.eye(2))
@@ -113,60 +115,75 @@ class TestBlockMaps:
     def test_maps_match_forward_law_and_are_adjoint(self, K, L, Lp):
         # Every block's map is the law of the state with that block replaced,
         # and its pull-back is the map's adjoint: <adj(g), Y> = <g, fwd(Y)>.
-        # The state is a stack of two restarts; each slice is checked alone.
+        # The state is a stack of two restarts, J = W_1 diag(p) and then the
+        # channels; each slice is checked alone.  A block given as one column
+        # of L' * L cells, as J is stepped, maps the same.
         rng = np.random.default_rng(10 * K + L)
         shape = (Lp,) * K
-        P = rng.dirichlet(np.ones(L), size=2)[:, :, None]
-        Ws = rng.dirichlet(np.ones(Lp), size=(2, K, L)).swapaxes(2, 3)
-        blocks = [P, *Ws.swapaxes(0, 1)]
-        for i, block in enumerate(blocks):
-            fwd, adj = _block_maps(P, Ws, i, _others_product(Ws, max(i - 1, 0)), shape)
-            X = rng.dirichlet(np.ones(block.shape[1]), size=(2, block.shape[2])).swapaxes(1, 2)
-            state = blocks[:i] + [X] + blocks[i + 1 :]
-            np.testing.assert_allclose(
-                fwd(X), forward_law(state[0][:, :, 0], state[1:]), rtol=0.0, atol=1e-15
-            )
-            g, Y = rng.normal(size=(2, Lp**K)), rng.normal(size=block.shape)
+        J = rng.dirichlet(np.ones(Lp * L), size=2).reshape(2, 1, Lp, L)
+        S = np.concatenate([J, rng.dirichlet(np.ones(Lp), size=(2, K - 1, L)).swapaxes(2, 3)], axis=1)
+        ones = np.ones((2, L))
+        for k in range(K):
+            fwd, adj = _block_maps(k, _others_product(S, k), shape)
+            X = rng.dirichlet(np.ones(Lp), size=(2, L)).swapaxes(1, 2)
+            state = S.copy()
+            state[:, k] = X
+            law = fwd(X)
+            np.testing.assert_allclose(law, forward_law(ones, list(state.swapaxes(0, 1))), rtol=0.0, atol=1e-15)
+            assert np.array_equal(fwd(X.reshape(2, Lp * L, 1)), law)
+            g, Y = rng.normal(size=(2, Lp**K)), rng.normal(size=X.shape)
             pulled, mapped = adj(g), fwd(Y)
-            assert pulled.shape == block.shape
+            assert pulled.shape == X.shape
             for r in range(2):
                 assert np.sum(pulled[r] * Y[r]) == pytest.approx(g[r] @ mapped[r], rel=1e-12)
+
+
+class TestProjectState:
+    def test_j_is_one_simplex_and_channels_are_columns(self):
+        rng = np.random.default_rng(5)
+        S = rng.normal(size=(2, 3, 2, 3))
+        out = _project_state(S)
+        for r in range(2):
+            np.testing.assert_array_equal(out[r, 0].ravel(), dc.project_simplex(S[r, 0].ravel()).probs)
+            for k in (1, 2):
+                for x in range(3):
+                    np.testing.assert_array_equal(out[r, k][:, x], dc.project_simplex(S[r, k][:, x]).probs)
 
 
 class TestDescend:
     @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
     def test_each_restart_follows_its_lone_path(self, kind):
-        # The p block (L = 3, L' = 2, K = 3) of a stack of three restarts.
-        # Restart 0 is the target's own state.  Restart 1's channels send
-        # hidden symbol 1 to output 1 and symbols 2 and 3 to output 2 on every
-        # axis, so along the simplex the "l2sq" curvature of its p block is
-        # 8/3, above the 2 at which step 1 stops decreasing a quadratic.
-        # Restart 2 is a generic state.
-        rng = np.random.default_rng(2)
-        Ws = np.stack([
-            rng.dirichlet(np.ones(2), size=(3, 3)).swapaxes(1, 2),
-            np.tile([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], (3, 1, 1)),
-            rng.dirichlet(np.ones(2), size=(3, 3)).swapaxes(1, 2),
-        ])
-        P = np.stack([[0.5, 0.3, 0.2], [0.2, 0.4, 0.4], rng.dirichlet(np.ones(3))])[:, :, None]
+        # The J block (L = 3, L' = 2, K = 3) of a stack of three restarts,
+        # stepped as one column of six cells.  Restart 0 is the target's own
+        # state.  Restart 1's channels W_2 and W_3 send every hidden symbol to
+        # output 1, so the "l2sq" pull-back is constant along each row of J,
+        # where the curvature is 6, above the 2 at which step 1 stops
+        # decreasing a quadratic.  Restart 2 is a generic state.
+        rng = np.random.default_rng(7)
+        Ws = rng.dirichlet(np.ones(2), size=(3, 3, 3)).swapaxes(2, 3)
+        Ws[1, 1:] = [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]
+        P = np.stack([[0.5, 0.3, 0.2], [0.2, 0.4, 0.4], rng.dirichlet(np.ones(3))])
+        S = Ws.copy()
+        S[:, 0] *= P[:, None, :]
         shape = (2, 2, 2)
-        B = _others_product(Ws, 0)
-        fwd, adj = _block_maps(P, Ws, 0, B, shape)
-        m_cur = fwd(P)
+        B = _others_product(S, 0)
+        fwd, adj = _block_maps(0, B, shape)
+        X = S[:, 0].reshape(3, 6, 1)
+        m_cur = fwd(X)
         q = m_cur[0].copy()
         f_cur = _objective(m_cur, q, kind)
-        stacked = _descend(P, fwd, adj, q, m_cur, f_cur, kind)
+        stacked = _descend(X, fwd, adj, q, m_cur, f_cur, kind)
         calls = []
         for r in range(3):
             row = slice(r, r + 1)
-            lone_fwd, lone_adj = _block_maps(P[row], Ws[row], 0, B[row], shape)
+            lone_fwd, lone_adj = _block_maps(0, B[row], shape)
             calls.append(0)
 
-            def counted(X, lone_fwd=lone_fwd):
+            def counted(Y, lone_fwd=lone_fwd):
                 calls[-1] += 1
-                return lone_fwd(X)
+                return lone_fwd(Y)
 
-            lone = _descend(P[row], counted, lone_adj, q, m_cur[row], f_cur[row], kind)
+            lone = _descend(X[row], counted, lone_adj, q, m_cur[row], f_cur[row], kind)
             for got, want in zip(stacked, lone):
                 assert np.array_equal(got[row], want)
         assert calls[1] > 1 and calls[2] == 1
@@ -176,7 +193,7 @@ class TestDescend:
             # stationary there, so only its paths are compared.
             assert f_cur[0] == 0.0
             assert calls[0] == sum(1 for j in range(80) if 2.0**-j > _MIN_STEP)
-            assert np.array_equal(stacked[0][0], P[0]) and stacked[3][0] == 0.0
+            assert np.array_equal(stacked[0][0], X[0]) and stacked[3][0] == 0.0
 
 
 class TestInversionConfig:
@@ -280,6 +297,23 @@ class TestRecoverSystem:
         )
         assert not res2.near_boundary
 
+    def test_zero_mass_symbol_gets_a_uniform_first_channel_column(self):
+        # A point-mass truth drives the second column of J = W_1 diag(p) to
+        # exactly 0, which leaves that column of W_1 undetermined: it comes
+        # back uniform, every channel stays column-stochastic, and the fit is
+        # flagged as near the boundary.
+        truth = dc.DCSystem(dc.Distribution(np.array([1.0, 0.0])), (IDENT2,) * 3)
+        res = dc.recover_system(dc.output_distribution(truth), dc.InversionConfig(L=2, restarts=2, seed=0))
+        assert res.p_hat.probs.tolist() == [1.0, 0.0]
+        assert res.near_boundary
+        assert res.channels_hat[0].entries[:, 1].tolist() == [0.5, 0.5]
+        for w in res.channels_hat:
+            np.testing.assert_allclose(w.entries.sum(axis=0), 1.0, rtol=0.0, atol=1e-12)
+        J = np.array([[0.25, 0.0], [0.5, 0.0], [0.25, 0.0]])
+        fit = _system(np.stack([J, np.eye(3)[:, :2]]))
+        assert fit.p.probs.tolist() == [1.0, 0.0]
+        assert fit.channels[0].entries.tolist() == [[0.25, 1 / 3], [0.5, 1 / 3], [0.25, 1 / 3]]
+
     def test_ambiguous_law_still_fits(self):
         # The four-symbol law with two colliding hidden distributions is fit
         # to numerical exactness even though the minimizer is not unique.
@@ -351,18 +385,18 @@ class TestRecoverSystem:
             np.testing.assert_array_equal(a.entries, b.entries)
 
     def test_restarts_after_the_first_at_the_fit_floor_are_dropped(self, monkeypatch):
-        # On this exact law restarts 3 and 4 reach the fit floor (at sweeps
-        # 285 and 275) before restart 2 does (at sweep 371), while restart 1
+        # On this exact law restarts 2 and 3 reach the fit floor (at sweeps
+        # 150 and 160) before restart 1 does (at sweep 192), while restart 0
         # converges short of it.  A sequential multi-start stops after
-        # restart 2, so the stacked fit must log 0-2 and nothing after; a
+        # restart 1, so the stacked fit must log 0-1 and nothing after; a
         # stack one restart wide is that sequential fit.
-        q = dc.output_distribution(dc.random_system(3, 2, 4, 15))
+        q = dc.output_distribution(dc.random_system(3, 2, 4, 133))
         cfg = dc.InversionConfig(L=3, restarts=5, max_iters=400, seed=0)
         res = dc.recover_system(q, cfg)
         assert [(e.restart, e.stop_reason) for e in res.restart_log] == [
-            (0, "converged"), (1, "converged"), (2, "fit_floor")
+            (0, "converged"), (1, "fit_floor")
         ]
-        assert res.best_restart == 2
+        assert res.best_restart == 1
         monkeypatch.setattr(core, "MAX_DENSE_CELLS", q.values.size * 3)
         assert dc.recover_system(q, cfg).restart_log == res.restart_log
 

@@ -216,6 +216,16 @@ class TestTypeCounts:
             dense = np.bincount(flat, minlength=Lprime**K) / n
             assert dc.ml_estimate(counts).values.tobytes() == dense.tobytes()
 
+    @pytest.mark.parametrize("Lprime, K", [(1, 4), (3, 1), (2, 6), (5, 4), (4, 11)])
+    def test_cells_match_ravel_multi_index(self, Lprime, K):
+        rng = np.random.default_rng(10 * Lprime + K)
+        shape = (Lprime,) * K
+        for n in (1, 3, 500):
+            records = rng.integers(1, Lprime + 1, size=(n, K))
+            counts = dc.type_counts(dc.SampleBatch(Lprime, records))
+            cells, m = np.unique(np.ravel_multi_index(tuple((records - 1).T), shape), return_counts=True)
+            assert np.array_equal(counts.cells, cells) and np.array_equal(counts.counts, m)
+
     def test_memory_stays_with_the_records(self):
         # (4, 4, 11) has 4 194 304 cells (32 MiB dense) against 20 000
         # records: counting must not allocate the table, and only the law
