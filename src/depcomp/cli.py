@@ -147,6 +147,9 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_invert(args) -> int:
+    if args.q is not None and args.Lprime is not None:
+        print("depcomp invert: error: --Lprime applies only to --samples", file=sys.stderr)
+        return USAGE_ERROR
     if args.q is not None:
         q_hat = load_tensor(args.q)
     else:

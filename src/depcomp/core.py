@@ -195,9 +195,9 @@ class JointTensor:
     ``values`` is laid out in row-major (C) order over ``shape``: the last
     coordinate varies fastest.  ``shape[a]`` is the alphabet size of axis
     ``a + 1``.  ``n`` is the number of records an empirical law was
-    estimated from, a positive integer, or ``None`` for an exact law; it
-    sets the solver's restart schedule and the fit statistic ``G²``, never
-    the fit itself.
+    estimated from, a positive integer below ``2**63`` as the int64 counts
+    are, or ``None`` for an exact law; it sets the solver's restart schedule
+    and the fit statistic ``G²``, never the fit itself.
     """
 
     shape: tuple
@@ -225,8 +225,8 @@ class JointTensor:
             raise ValueError(f"tensor mass {total!r} is not 1 within {TENSOR_MASS_ATOL}")
         if self.n is not None:
             n = self.n
-            if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or n < 1:
-                raise ValueError(f"sample size n must be a positive integer, got {n!r}")
+            if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)) or not 1 <= n < 2**63:
+                raise ValueError(f"sample size n must be a positive integer below 2**63, got {n!r}")
             object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "values", _frozen_array(arr))

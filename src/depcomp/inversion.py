@@ -10,11 +10,10 @@ columns are simplices of ``L'`` cells.  The law is the blocks' Khatri-Rao
 product times a column of ones, and the fit unfolds ``J`` into
 ``p = J.sum(axis=0)`` and ``W_1 = J / p`` (`_system`).  The objective is
 block-multiconvex: with all blocks but one frozen, the model is linear in the
-free block, so one projected-gradient step serves every block.  It is squared
-Euclidean distance ("l2sq", the default) or the smoothed relative entropy
-``D(model || q)`` ("kl").  Every full law the solver forms comes from
-`core.forward_law`, and a block's candidates are scored through the law's
-unfolding along one axis.  A sweep takes one backtracking step per block, in
+free block, so one projected-gradient step serves every block.  It is the
+squared Euclidean distance between the model law and ``q`` ("l2sq").  Every
+full law the solver forms comes from `core.forward_law`, and a block's
+candidates are scored through the law's unfolding along one axis.  A sweep takes one backtracking step per block, in
 order, each starting afresh at step 1, plus one extrapolation, accepting only
 strict decreases, so the iteration is monotone by construction.  A restart
 stops at the fit floor, on convergence (``_STEP_TOL`` bounds the largest
@@ -51,14 +50,13 @@ from .core import (
     Permutation,
 )
 
-OBJECTIVE_KINDS = ("kl", "l2sq")
+OBJECTIVE_KINDS = ("l2sq",)
 
 # Hidden masses below this are treated as sitting on the simplex boundary,
 # where identifiability degrades; results flag it rather than failing.
 BOUNDARY_MASS = 1e-6
 
 _MIN_STEP = 1e-18
-_LN2 = float(np.log(2.0))
 
 # Once a fit is this good the target is matched far below every tolerance the
 # package asserts anywhere (1e-9 at the loosest); a restart reaching it stops
@@ -67,23 +65,20 @@ _LN2 = float(np.log(2.0))
 _FIT_FLOOR = 1e-10
 
 # A converged sweep moves no block entry by more than _STEP_TOL and lowers the
-# objective by at most _OBJECTIVE_TOL; _SMOOTHING_EPS keeps the "kl" logs
-# finite on cells where either law is zero.
+# objective by at most _OBJECTIVE_TOL.
 _STEP_TOL = 1e-10
 _OBJECTIVE_TOL = 1e-12
-_SMOOTHING_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class InversionConfig:
     """Solver settings; ``L`` is the hidden alphabet size to fit.
 
-    ``objective`` is one of `OBJECTIVE_KINDS`, "kl" or "l2sq" (see
+    ``objective`` is one of `OBJECTIVE_KINDS`, which holds only "l2sq" (see
     `objective`).  ``max_iters`` counts sweeps.  The rest is fixed: a
     converged sweep moves no entry of any block, ``J = W_1 diag(p)`` or a
     channel ``W_2..W_K``, by more than ``_STEP_TOL`` (1e-10) and lowers the
-    objective by at most ``_OBJECTIVE_TOL`` (1e-12), and the "kl" smoothing
-    is ``_SMOOTHING_EPS`` (1e-12).
+    objective by at most ``_OBJECTIVE_TOL`` (1e-12).
     """
 
     L: int
@@ -176,41 +171,27 @@ def project_simplex(v) -> Distribution:
     return Distribution(_project_cols(arr[:, None])[:, 0])
 
 
-def _objective(m: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
-    """Objective of each row of an ``(R, cells)`` stack of flat model laws.
-
-    Each row reduces exactly as a lone law would: "l2sq" is one dot product
-    per row; "kl" gives zero cells of the model a zero term without taking
-    their log.
-    """
-    if kind == "l2sq":
-        d = m - q
-        return (d[:, None, :] @ d[:, :, None])[:, 0, 0]
-    logs = np.log2(np.where(m > 0.0, m, 1.0) / (q + _SMOOTHING_EPS))
-    return np.sum(m * logs, axis=1)
-
-
-def _grad(m: np.ndarray, q: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "l2sq":
-        return 2.0 * (m - q)
-    return (np.log(np.maximum(m, _SMOOTHING_EPS) / (q + _SMOOTHING_EPS)) / _LN2) + 1.0 / _LN2
+def _objective(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distance to ``q`` of each row of an ``(R, cells)`` stack of
+    flat model laws, one dot product per row, so each row reduces exactly as
+    a lone law would."""
+    d = m - q
+    return (d[:, None, :] @ d[:, :, None])[:, 0, 0]
 
 
 def objective(candidate: DCSystem, q_hat: JointTensor, kind: str) -> float:
     """Misfit between a candidate system's output law and ``q_hat``.
 
-    ``kind`` selects smoothed relative entropy in bits ("kl", with 1e-12
-    added to the reference inside the log) or squared Euclidean distance
-    ("l2sq"); any other kind is a ``ValueError``.  "kl" is
-    ``D(model || q_hat)``: the model law weights the log ratio, which is the
-    reverse of the likelihood direction ``D(q_hat || model)``.
+    ``kind`` must be one of `OBJECTIVE_KINDS`; "l2sq" is the squared
+    Euclidean distance between the two laws.  Any other kind is a
+    ``ValueError``.
     """
     if kind not in OBJECTIVE_KINDS:
         raise ValueError(f"objective must be one of {OBJECTIVE_KINDS}")
     model = output_distribution(candidate)
     if model.shape != q_hat.shape:
         raise ValueError(f"shape mismatch: model {model.shape} vs target {q_hat.shape}")
-    return float(_objective(model.values[None, :], q_hat.values, kind)[0])
+    return float(_objective(model.values[None, :], q_hat.values)[0])
 
 
 def _others_product(S: np.ndarray, k: int) -> np.ndarray:
@@ -257,7 +238,7 @@ def _project_state(S: np.ndarray) -> np.ndarray:
     return np.concatenate([J, _project_cols(S[:, 1:])], axis=1)
 
 
-def _descend(X, fwd, adj, q, m_cur, f_cur, kind):
+def _descend(X, fwd, adj, q, m_cur, f_cur):
     """One backtracking projected-gradient step per restart on a block stack.
 
     ``fwd, adj`` are the block's `_block_maps`, and ``X`` holds the block in
@@ -270,19 +251,20 @@ def _descend(X, fwd, adj, q, m_cur, f_cur, kind):
     the candidates of restarts that have settled are computed and discarded.
     The new block stack comes back with its model laws, objectives and each
     restart's largest entry change.  A restart still failing below
-    ``_MIN_STEP`` keeps its block unchanged.  Under "l2sq" a block's
-    curvature along each output row is ``2 B^T B``; for a channel, column
-    ``x`` of ``B`` carries ``J``'s column ``x``, so the trace is at most
-    ``2 sum_x p_x^2 <= 2`` and step 1 is usually accepted at once.
+    ``_MIN_STEP`` keeps its block unchanged.  The gradient of the squared
+    distance at the law is ``2 (m_cur - q)``, and a block's curvature along
+    each output row is ``2 B^T B``; for a channel, column ``x`` of ``B``
+    carries ``J``'s column ``x``, so the trace is at most ``2 sum_x p_x^2 <=
+    2`` and step 1 is usually accepted at once.
     """
-    G = adj(_grad(m_cur, q, kind)).reshape(X.shape)
+    G = adj(2.0 * (m_cur - q)).reshape(X.shape)
     X_new, m_new, f_new = X, m_cur, f_cur
     pending = np.ones(len(X), dtype=bool)
     s = 1.0
     while s > _MIN_STEP:
         cand = _project_cols(X - s * G)
         m_c = fwd(cand)
-        f_c = _objective(m_c, q, kind)
+        f_c = _objective(m_c, q)
         ok = pending & (f_c < f_cur)
         if ok.all():
             X_new, m_new, f_new = cand, m_c, f_c
@@ -297,7 +279,7 @@ def _descend(X, fwd, adj, q, m_cur, f_cur, kind):
     return X_new, m_new, f_new, np.abs(X_new - X).max(axis=(1, 2))
 
 
-def _solve_stack(q, shape, starts: list, ids: list, cfg: InversionConfig) -> list:
+def _solve_stack(q, shape, starts: list, ids: list, max_iters: int) -> list:
     """Alternating block descent from several starts in lockstep.
 
     ``starts[r]`` is restart ``ids[r]``'s ``(K, L', L)`` state (see
@@ -324,32 +306,31 @@ def _solve_stack(q, shape, starts: list, ids: list, cfg: InversionConfig) -> lis
     them.  Returns ``(id, state, objective, sweeps, stop reason, trace)``
     per kept restart, by id.
     """
-    kind = cfg.objective
     ids = np.asarray(ids)
     S = np.stack(starts)
     K, Lp, L = S.shape[1:]
     # The shape in which each block's columns are its simplices.
     views = [(Lp * L, 1)] + [(Lp, L)] * (K - 1)
     m_cur = forward_law(np.ones((len(S), L)), list(S.swapaxes(0, 1)))
-    f_cur = _objective(m_cur, q, kind)
+    f_cur = _objective(m_cur, q)
     traces = [[f] for f in f_cur.tolist()]
     gamma = np.ones(len(ids))
     prev = None
     floor_id = np.inf
     done = []
-    for iters in range(1, cfg.max_iters + 1):
+    for iters in range(1, max_iters + 1):
         f_prev = f_cur
         anchor = S.copy()
         move = 0.0
         for k, view in enumerate(views):
             fwd, adj = _block_maps(k, _others_product(S, k), shape)
-            X, m_cur, f_cur, d = _descend(S[:, k].reshape(-1, *view), fwd, adj, q, m_cur, f_cur, kind)
+            X, m_cur, f_cur, d = _descend(S[:, k].reshape(-1, *view), fwd, adj, q, m_cur, f_cur)
             S[:, k] = X.reshape(-1, Lp, L)
             move = np.maximum(move, d)
         if prev is not None:
             ex = _project_state(S + gamma[:, None, None, None] * (S - prev))
             m_ex = forward_law(np.ones((len(S), L)), list(ex.swapaxes(0, 1)))
-            f_ex = _objective(m_ex, q, kind)
+            f_ex = _objective(m_ex, q)
             take = f_ex < f_cur
             if take.any():
                 move = np.where(take, np.maximum(move, np.abs(ex - S).max(axis=(1, 2, 3))), move)
@@ -363,7 +344,7 @@ def _solve_stack(q, shape, starts: list, ids: list, cfg: InversionConfig) -> lis
             trace.append(f)
         floor = f_cur <= _FIT_FLOOR
         converged = floor | ((move <= _STEP_TOL) & ((f_prev - f_cur) <= _OBJECTIVE_TOL))
-        stop = converged if iters < cfg.max_iters else np.ones_like(converged)
+        stop = converged if iters < max_iters else np.ones_like(converged)
         if not stop.any():
             continue
         for r in np.flatnonzero(stop):
@@ -466,7 +447,7 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
             _random_start(Generator(Philox(key=config.seed).jumped(j)), config.L, Lp, K)
             for j in group
         ]
-        done = _solve_stack(q, q_hat.shape, starts, list(group), config)
+        done = _solve_stack(q, q_hat.shape, starts, list(group), config.max_iters)
         for j, state, f_final, iters, reason, trace in done:
             logs.append(
                 RestartLog(

@@ -147,6 +147,16 @@ def _numbers(items, what: str, kinds=(int, float)) -> list:
     return items
 
 
+def _floats(items, what: str) -> np.ndarray:
+    """``items``, lists of JSON numbers, as a float64 array; an integer beyond
+    the float64 range is a ``ValueError`` naming ``what``, not an
+    ``OverflowError``."""
+    try:
+        return np.array(items, dtype=np.float64)
+    except OverflowError:
+        raise ValueError(f"{what} holds an integer too large for a 64-bit float") from None
+
+
 def system_document(system: DCSystem) -> dict:
     return {
         "L": system.hidden_size,
@@ -183,8 +193,8 @@ def load_system(path) -> DCSystem:
             raise ValueError(f"system file: channel {k} must be {Lprime} rows x {L} columns")
         for row in mat:
             _numbers(row, f"system file: each row of channel {k}")
-        built.append(Channel(np.array(mat, dtype=np.float64)))
-    return DCSystem(Distribution(np.array(p, dtype=np.float64)), tuple(built))
+        built.append(Channel(_floats(mat, f"system file: each row of channel {k}")))
+    return DCSystem(Distribution(_floats(p, "system file: p")), tuple(built))
 
 
 def save_tensor(path, t: JointTensor) -> None:
@@ -198,16 +208,17 @@ def save_tensor(path, t: JointTensor) -> None:
 def load_tensor(path) -> JointTensor:
     """Read a tensor file; one without ``n`` is an exact law.
 
-    ``n``, when present, must be a positive JSON integer.
+    ``n``, when present, must be a positive JSON integer below ``2**63``,
+    the range of the int64 counts it was taken from.
     """
     doc = _load_json(path, "tensor file")
     _require_keys(doc, ("shape", "values"), "tensor file", optional=("n",))
     shape = _numbers(doc["shape"], "tensor file: shape", (int,))
     values = _numbers(doc["values"], "tensor file: values")
     n = doc.get("n")
-    if "n" in doc and (type(n) is not int or n < 1):
-        raise ValueError("tensor file: n must be a positive integer")
-    return JointTensor(tuple(shape), np.array(values, dtype=np.float64), n)
+    if "n" in doc and (type(n) is not int or not 1 <= n < 2**63):
+        raise ValueError("tensor file: n must be a positive integer below 2**63")
+    return JointTensor(tuple(shape), _floats(values, "tensor file: values"), n)
 
 
 # Sample-file rows formatted per array pass: the int64 digit temporaries and

@@ -54,8 +54,14 @@ class TestUsageErrors:
     def test_unknown_suite(self):
         assert run_cli("verify", "--suite", "nope")[0] == 64
 
-    def test_l1_objective_is_not_offered(self):
-        assert run_cli("invert", "--q", "a.json", "--L", "2", "--objective", "l1")[0] == 64
+    @pytest.mark.parametrize("kind", ["l1", "kl"])
+    def test_removed_objective_is_not_offered(self, kind):
+        assert run_cli("invert", "--q", "a.json", "--L", "2", "--objective", kind)[0] == 64
+
+    def test_lprime_applies_only_to_samples(self):
+        code, out, err = run_cli("invert", "--q", "a.json", "--L", "2", "--Lprime", "7")
+        assert (code, out) == (64, "")
+        assert "--Lprime applies only to --samples" in err
 
 
 class TestGen:
@@ -389,6 +395,19 @@ class TestNonNumericCells:
         code, out, err = self.check_fork(tmp_path, system_doc)
         assert (code, out) == (2, "") and "system file: p" in err
 
+    def test_huge_integer_cell_exits_2(self, tmp_path, system_doc):
+        # 10**400 is a valid JSON integer beyond the float64 range.
+        code, out, err = self.invert(tmp_path, {"shape": [2, 2, 2], "values": [10**400] + [0] * 7}, 2)
+        assert (code, out) == (2, "") and "tensor file: values" in err
+        cell, system_doc["channels"][0][0][0] = system_doc["channels"][0][0][0], 10**400
+        code, out, err = self.check_fork(tmp_path, system_doc)
+        assert (code, out) == (2, "") and "system file: each row of channel 1" in err
+        system_doc["channels"][0][0][0] = cell
+        system_doc["p"] = [10**400, 0]
+        sim_out = str(tmp_path / "s.csv")
+        code, out, err = self.run_with(tmp_path, system_doc, "simulate", "--n", "5", "--out", sim_out, "--system")
+        assert (code, out) == (2, "") and "system file: p" in err
+
     def test_boolean_cell_exits_2(self, tmp_path, system_doc):
         code, out, err = self.invert(tmp_path, {"shape": [True] * 3, "values": [1.0]}, 1)
         assert (code, out) == (2, "") and "tensor file: shape" in err
@@ -398,13 +417,15 @@ class TestNonNumericCells:
 
 
 class TestTensorSampleSize:
-    @pytest.mark.parametrize("n", ["true", "2000.0", '"2000"', "0", "-5", "null"])
+    @pytest.mark.parametrize(
+        "n", ["true", "2000.0", '"2000"', "0", "-5", "null", pytest.param(str(10**400), id="10**400")]
+    )
     def test_invert_refuses_a_bad_n(self, tmp_path, n):
         q_path = tmp_path / "q.json"
         q_path.write_text(f'{{"shape": [2, 2, 2], "values": [{", ".join(["0.125"] * 8)}], "n": {n}}}')
         code, out, err = run_cli("invert", "--q", str(q_path), "--L", "2", "--restarts", "1", "--max-iters", "1")
         assert (code, out) == (2, "")
-        assert err == "error: tensor file: n must be a positive integer\n"
+        assert err == "error: tensor file: n must be a positive integer below 2**63\n"
 
     def test_invert_reports_a_good_n(self, tmp_path):
         q_path = tmp_path / "q.json"

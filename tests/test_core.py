@@ -155,7 +155,7 @@ class TestJointTensor:
         assert dc.JointTensor((2,), np.array([0.5, 0.5])).n is None
         t = dc.JointTensor((2,), np.array([0.5, 0.5]), np.int64(8))
         assert t.n == 8 and type(t.n) is int
-        for n in (0, -3, True, 2.0, "8"):
+        for n in (0, -3, True, 2.0, "8", 2**63, np.uint64(2**63)):
             with pytest.raises(ValueError, match="n must be a positive integer"):
                 dc.JointTensor((2,), np.array([0.5, 0.5]), n)
 

@@ -101,7 +101,7 @@ class TestObjective:
         assert dc.objective(bsc, uniform, "l2sq") == pytest.approx(0.202, abs=1e-12)
 
     def test_invalid_kind_and_shape(self):
-        for kind in ("linf", "l1"):
+        for kind in ("linf", "l1", "kl"):
             with pytest.raises(ValueError):
                 dc.objective(self.sys, self.q, kind)
         bad_shape = dc.JointTensor((2, 2), np.full(4, 0.25))
@@ -151,12 +151,11 @@ class TestProjectState:
 
 
 class TestDescend:
-    @pytest.mark.parametrize("kind", OBJECTIVE_KINDS)
-    def test_each_restart_follows_its_lone_path(self, kind):
+    def test_each_restart_follows_its_lone_path(self):
         # The J block (L = 3, L' = 2, K = 3) of a stack of three restarts,
         # stepped as one column of six cells.  Restart 0 is the target's own
         # state.  Restart 1's channels W_2 and W_3 send every hidden symbol to
-        # output 1, so the "l2sq" pull-back is constant along each row of J,
+        # output 1, so the pull-back is constant along each row of J,
         # where the curvature is 6, above the 2 at which step 1 stops
         # decreasing a quadratic.  Restart 2 is a generic state.
         rng = np.random.default_rng(7)
@@ -171,8 +170,8 @@ class TestDescend:
         X = S[:, 0].reshape(3, 6, 1)
         m_cur = fwd(X)
         q = m_cur[0].copy()
-        f_cur = _objective(m_cur, q, kind)
-        stacked = _descend(X, fwd, adj, q, m_cur, f_cur, kind)
+        f_cur = _objective(m_cur, q)
+        stacked = _descend(X, fwd, adj, q, m_cur, f_cur)
         calls = []
         for r in range(3):
             row = slice(r, r + 1)
@@ -183,17 +182,15 @@ class TestDescend:
                 calls[-1] += 1
                 return lone_fwd(Y)
 
-            lone = _descend(X[row], counted, lone_adj, q, m_cur[row], f_cur[row], kind)
+            lone = _descend(X[row], counted, lone_adj, q, m_cur[row], f_cur[row])
             for got, want in zip(stacked, lone):
                 assert np.array_equal(got[row], want)
         assert calls[1] > 1 and calls[2] == 1
-        if kind == "l2sq":
-            # An exact fit: no step decreases 0, so the step halves past
-            # _MIN_STEP and the block stays.  The smoothed "kl" is not
-            # stationary there, so only its paths are compared.
-            assert f_cur[0] == 0.0
-            assert calls[0] == sum(1 for j in range(80) if 2.0**-j > _MIN_STEP)
-            assert np.array_equal(stacked[0][0], X[0]) and stacked[3][0] == 0.0
+        # An exact fit: no step decreases 0, so the step halves past
+        # _MIN_STEP and the block stays.
+        assert f_cur[0] == 0.0
+        assert calls[0] == sum(1 for j in range(80) if 2.0**-j > _MIN_STEP)
+        assert np.array_equal(stacked[0][0], X[0]) and stacked[3][0] == 0.0
 
 
 class TestInversionConfig:
@@ -209,7 +206,7 @@ class TestInversionConfig:
             dc.InversionConfig(L=2, restarts=0)
         with pytest.raises(TypeError):
             dc.InversionConfig(L=2, step_tol=1e-8)
-        for kind in ("linf", "l1"):
+        for kind in ("linf", "l1", "kl"):
             with pytest.raises(ValueError):
                 dc.InversionConfig(L=2, objective=kind)
         with pytest.raises(ValueError):
@@ -400,23 +397,13 @@ class TestRecoverSystem:
         monkeypatch.setattr(core, "MAX_DENSE_CELLS", q.values.size * 3)
         assert dc.recover_system(q, cfg).restart_log == res.restart_log
 
-    def test_kl_objective_also_recovers(self):
-        truth, q = exact_law(3, L=2, min_mass=0.15)
-        res = dc.recover_system(
-            q, dc.InversionConfig(L=2, objective="kl", restarts=8, seed=0)
-        )
-        canon = dc.canonicalize(truth)
-        assert np.abs(res.p_hat.probs - canon.p.probs).sum() <= 1e-2
-
     @pytest.mark.parametrize(
-        "kind, L, Lp",
-        [("l2sq", 2, 3), ("kl", 2, 2), ("l2sq", 3, 2)],
-        ids=["rectangular", "kl", "narrow"],
+        "L, Lp", [(2, 3), (2, 2), (3, 2)], ids=["rectangular", "square", "narrow"]
     )
-    def test_fit_properties(self, kind, L, Lp):
+    def test_fit_properties(self, L, Lp):
         truth = dc.random_system(L, Lp, 3, 21)
         q = dc.output_distribution(truth)
-        cfg = dc.InversionConfig(L=L, objective=kind, restarts=3, max_iters=50, seed=0)
+        cfg = dc.InversionConfig(L=L, restarts=3, max_iters=50, seed=0)
         res = dc.recover_system(q, cfg)
         for entry in res.restart_log:
             assert np.all(np.diff(entry.trace) <= 0.0)
@@ -430,7 +417,7 @@ class TestRecoverSystem:
             np.testing.assert_allclose(w.entries.sum(axis=0), 1.0, rtol=0.0, atol=1e-10)
         fit = dc.DCSystem(res.p_hat, res.channels_hat)
         assert res.objective_value == pytest.approx(
-            dc.objective(fit, q, kind), rel=1e-9, abs=1e-12
+            dc.objective(fit, q, cfg.objective), rel=1e-9, abs=1e-12
         )
 
     def test_invalid_inputs(self):
@@ -470,9 +457,9 @@ class TestSampledSchedule:
     def stack_calls(self, monkeypatch):
         calls, solve_stack = [], inversion._solve_stack
 
-        def counted(q, shape, starts, ids, cfg):
+        def counted(q, shape, starts, ids, max_iters):
             calls.append(list(ids))
-            return solve_stack(q, shape, starts, ids, cfg)
+            return solve_stack(q, shape, starts, ids, max_iters)
 
         monkeypatch.setattr(inversion, "_solve_stack", counted)
         return calls

@@ -391,7 +391,7 @@ class TestResultFile:
 
     def test_config_keys_are_the_config_fields(self):
         q = dc.output_distribution(dc.random_system(2, 2, 3, 23))
-        cfg = dc.InversionConfig(L=2, objective="kl", restarts=2, max_iters=30, seed=5)
+        cfg = dc.InversionConfig(L=2, objective="l2sq", restarts=2, max_iters=30, seed=5)
         doc = result_document(dc.recover_system(q, cfg), cfg)
         assert list(doc["config"]) == [f.name for f in dataclasses.fields(dc.InversionConfig)]
         assert doc["config"] == dataclasses.asdict(cfg)
