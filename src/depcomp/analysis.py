@@ -212,7 +212,8 @@ def k2_ambiguity_witness(
     Any two-axis law ``q(i, j) = p(i) r(j | i)`` factors both as hidden ``p``
     observed through (identity, ``r``) and as hidden ``r p`` observed through
     (the reversed channel of ``r``, identity).  The pair is degenerate (flag
-    set) only when ``p`` happens to be a fixed point of ``r``.
+    set) only when ``p`` happens to be a fixed point of ``r``.  A one-symbol
+    ``p`` is a fixed point of every channel, so it needs an explicit ``r``.
     """
     rng = Generator(Philox(key=int(seed)))
     if p is None:
@@ -224,6 +225,10 @@ def k2_ambiguity_witness(
         raise ValueError("hidden distribution must be strictly positive")
     L = p.size
     if r is None:
+        if L < 2:
+            raise ValueError(
+                "a one-symbol hidden distribution is a fixed point of every channel; pass r"
+            )
         while True:
             noise = rng.dirichlet(np.ones(L), size=L).T
             beta = rng.uniform(0.2, 0.7)
@@ -246,12 +251,12 @@ def k2_ambiguity_witness(
     )
 
 
-def conditionally_independent_given_cause(joint: JointTensor, tol: float = SCREENING_ATOL) -> bool:
+def conditionally_independent_given_cause(joint: JointTensor) -> bool:
     """Whether axes 2..m of ``joint`` are independent given axis 1.
 
     For every value of the first axis with positive mass, the conditional
     law of the remaining axes must factor into the product of its own
-    marginals, entrywise within ``tol``.
+    marginals, entrywise within ``SCREENING_ATOL``.
     """
     if joint.axes < 2:
         raise ValueError("need a cause axis plus at least one effect axis")
@@ -267,12 +272,12 @@ def conditionally_independent_given_cause(joint: JointTensor, tol: float = SCREE
         for a in range(sub):
             m = cond.sum(axis=tuple(x for x in range(sub) if x != a))
             prod = m if prod is None else np.multiply.outer(prod, m)
-        if float(np.max(np.abs(cond - prod))) > tol:
+        if float(np.max(np.abs(cond - prod))) > SCREENING_ATOL:
             return False
     return True
 
 
-def conjunctive_fork_check(system: DCSystem, tol: float = SCREENING_ATOL) -> bool:
+def conjunctive_fork_check(system: DCSystem) -> bool:
     """Verify the generative structure: outputs independent given the cause.
 
     Builds the joint law of (hidden symbol, all outputs) and checks that
@@ -285,7 +290,7 @@ def conjunctive_fork_check(system: DCSystem, tol: float = SCREENING_ATOL) -> boo
     shape = (L,) + (system.output_size,) * system.num_channels
     check_dense_cells(math.prod(shape), "the joint law of cause and outputs")
     flat = forward_law(system.p.probs, [np.eye(L)] + [ch.entries for ch in system.channels])
-    return conditionally_independent_given_cause(JointTensor(shape, flat), tol)
+    return conditionally_independent_given_cause(JointTensor(shape, flat))
 
 
 def vanishing_infimum_demo(

@@ -13,19 +13,21 @@ block-multiconvex: with all blocks but one frozen, the model is linear in the
 free block, so one projected-gradient step serves every block.  It is the
 squared Euclidean distance between the model law and ``q`` ("l2sq").  Every
 full law the solver forms comes from `core.forward_law`, and a block's
-candidates are scored through the law's unfolding along one axis.  A sweep takes one backtracking step per block, in
-order, each starting afresh at step 1, plus one extrapolation, accepting only
-strict decreases, so the iteration is monotone by construction.  A restart
-stops at the fit floor, on convergence (``_STEP_TOL`` bounds the largest
-entry change of ``J`` and of every channel), or after ``max_iters`` sweeps;
-its log names which in ``stop_reason`` ("fit_floor", "converged" or
-"max_iters").  Multi-start over seeded restarts guards against the poor local
-minima any single start can hit.  Restarts advance in lockstep as one stacked
-state (`_solve_stack`), each following its own path bit for bit, on the
-schedule `recover_system` sets from the target, and the restarts after the
-first to reach the fit floor are not run, so the log and the winner are those
-of a sequential multi-start.  Results are canonicalised to descending hidden
-mass so the permutation ambiguity cannot leak into comparisons.
+candidates are scored through the law's unfolding along one axis.  A sweep
+takes one backtracking step per block, in order, each starting afresh at step
+1, plus one extrapolation along the movement since the start of the previous
+sweep, accepting only strict decreases, so the iteration is monotone by
+construction.  A restart stops at the fit floor, on convergence (no entry of
+``J`` or of a channel moved by more than ``_STEP_TOL`` in the sweep), or
+after ``max_iters`` sweeps; its log names which in ``stop_reason``
+("fit_floor", "converged" or "max_iters").  Multi-start over seeded restarts
+guards against the poor local minima any single start can hit.  Restarts
+advance in lockstep as one stacked state (`_solve_stack`), each following its
+own path bit for bit, on the schedule `recover_system` sets from the target,
+and the restarts after the first to reach the fit floor are not run, so the
+log and the winner are those of a sequential multi-start.  Results are
+canonicalised to descending hidden mass so the permutation ambiguity cannot
+leak into comparisons.
 """
 
 from __future__ import annotations
@@ -64,10 +66,8 @@ _MIN_STEP = 1e-18
 # they could only tie.
 _FIT_FLOOR = 1e-10
 
-# A converged sweep moves no block entry by more than _STEP_TOL and lowers the
-# objective by at most _OBJECTIVE_TOL.
+# A converged sweep moves no block entry by more than _STEP_TOL.
 _STEP_TOL = 1e-10
-_OBJECTIVE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,7 @@ class InversionConfig:
     ``objective`` is one of `OBJECTIVE_KINDS`, which holds only "l2sq" (see
     `objective`).  ``max_iters`` counts sweeps.  The rest is fixed: a
     converged sweep moves no entry of any block, ``J = W_1 diag(p)`` or a
-    channel ``W_2..W_K``, by more than ``_STEP_TOL`` (1e-10) and lowers the
-    objective by at most ``_OBJECTIVE_TOL`` (1e-12).
+    channel ``W_2..W_K``, by more than ``_STEP_TOL`` (1e-10).
     """
 
     L: int
@@ -104,16 +103,19 @@ class InversionConfig:
 class RestartLog:
     """One restart's outcome; ``trace`` is its objective at the start and after each sweep.
 
-    ``stop_reason`` is "fit_floor", "converged" or "max_iters"; ``converged``
-    is true for the first two.
+    ``stop_reason`` is "fit_floor", "converged" or "max_iters".
     """
 
     restart: int
     objective: float
     iterations: int
-    converged: bool
     stop_reason: str
     trace: tuple
+
+    @property
+    def converged(self) -> bool:
+        """Whether the restart stopped before its sweep budget ran out."""
+        return self.stop_reason != "max_iters"
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,6 @@ class InversionResult:
     p_hat: Distribution
     channels_hat: tuple
     objective_value: float
-    converged: bool
     best_restart: int
     restart_log: tuple
     near_boundary: bool
@@ -143,6 +144,11 @@ class InversionResult:
         model has as many parameters as the law has cells, or more."""
         L, K, Lp = self.p_hat.size, len(self.channels_hat), self.channels_hat[0].outputs
         return Lp**K - 1 - ((L - 1) + K * L * (Lp - 1))
+
+    @property
+    def converged(self) -> bool:
+        """The best restart's `RestartLog.converged`."""
+        return next(e for e in self.restart_log if e.restart == self.best_restart).converged
 
 
 def _project_cols(V: np.ndarray) -> np.ndarray:
@@ -294,17 +300,18 @@ def _solve_stack(q, shape, starts: list, ids: list, max_iters: int) -> list:
     it, and since only strict decreases are accepted no trace ever
     increases.  One sweep takes one projected step per block in order, each
     backtracking from step 1 with no step carried over from earlier sweeps,
-    then tries an extrapolated point along the last sweep's movement with
-    each restart's own factor and keeps it for the restarts whose objective
-    it strictly decreases (monotone heavy-ball), which breaks the slow
-    zigzag of plain alternation.  A restart stops at ``_FIT_FLOOR``
-    ("fit_floor"), once a sweep moves no entry of ``J`` or a channel by more
-    than ``_STEP_TOL`` nor the objective by more than ``_OBJECTIVE_TOL``
-    ("converged"), or after ``max_iters`` sweeps ("max_iters"); it then
-    leaves the stack.  Once a restart reaches the fit floor, the restarts
-    after it are dropped, as a sequential multi-start would never have run
-    them.  Returns ``(id, state, objective, sweeps, stop reason, trace)``
-    per kept restart, by id.
+    then tries an extrapolated point ``S + gamma (S - prev)`` with each
+    restart's own factor ``gamma`` and keeps it for the restarts whose
+    objective it strictly decreases (monotone heavy-ball), which breaks the
+    slow zigzag of plain alternation.  ``prev`` is the state at the start of
+    the previous sweep, so the direction spans that sweep, its
+    extrapolation and this sweep's block steps.  A restart stops at
+    ``_FIT_FLOOR`` ("fit_floor"), once a sweep moves no entry of ``J`` or a
+    channel by more than ``_STEP_TOL`` ("converged"), or after
+    ``max_iters`` sweeps ("max_iters"); it then leaves the stack.  Once a
+    restart reaches the fit floor, the restarts after it are dropped, as a
+    sequential multi-start would never have run them.  Returns a
+    ``(RestartLog, state)`` pair per kept restart, by restart id.
     """
     ids = np.asarray(ids)
     S = np.stack(starts)
@@ -319,7 +326,6 @@ def _solve_stack(q, shape, starts: list, ids: list, max_iters: int) -> list:
     floor_id = np.inf
     done = []
     for iters in range(1, max_iters + 1):
-        f_prev = f_cur
         anchor = S.copy()
         move = 0.0
         for k, view in enumerate(views):
@@ -343,13 +349,14 @@ def _solve_stack(q, shape, starts: list, ids: list, max_iters: int) -> list:
         for trace, f in zip(traces, f_cur.tolist()):
             trace.append(f)
         floor = f_cur <= _FIT_FLOOR
-        converged = floor | ((move <= _STEP_TOL) & ((f_prev - f_cur) <= _OBJECTIVE_TOL))
+        converged = floor | (move <= _STEP_TOL)
         stop = converged if iters < max_iters else np.ones_like(converged)
         if not stop.any():
             continue
         for r in np.flatnonzero(stop):
             reason = "fit_floor" if floor[r] else "converged" if converged[r] else "max_iters"
-            done.append((int(ids[r]), S[r].copy(), float(f_cur[r]), iters, reason, traces[r]))
+            log = RestartLog(int(ids[r]), float(f_cur[r]), iters, reason, tuple(traces[r]))
+            done.append((log, S[r].copy()))
         if floor.any():
             floor_id = min(floor_id, ids[floor].min())
         keep = np.flatnonzero(~stop & (ids < floor_id))
@@ -358,7 +365,7 @@ def _solve_stack(q, shape, starts: list, ids: list, max_iters: int) -> list:
         S, prev, m_cur, f_cur = S[keep], prev[keep], m_cur[keep], f_cur[keep]
         gamma, ids = gamma[keep], ids[keep]
         traces = [traces[r] for r in keep]
-    return sorted(entry for entry in done if entry[0] <= floor_id)
+    return sorted((e for e in done if e[0].restart <= floor_id), key=lambda e: e[0].restart)
 
 
 def _g2(q: np.ndarray, n: int | None, system: DCSystem) -> float | None:
@@ -440,37 +447,24 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
     width = core.MAX_DENSE_CELLS // cells
     first = [range(1)] if q_hat.n is None else []
     groups = first + [range(a, min(a + width, R)) for a in range(len(first), R, width)]
-    best = None
-    logs = []
+    logs, states = [], {}
     for group in groups:
         starts = [
             _random_start(Generator(Philox(key=config.seed).jumped(j)), config.L, Lp, K)
             for j in group
         ]
-        done = _solve_stack(q, q_hat.shape, starts, list(group), config.max_iters)
-        for j, state, f_final, iters, reason, trace in done:
-            logs.append(
-                RestartLog(
-                    restart=j,
-                    objective=f_final,
-                    iterations=iters,
-                    converged=reason != "max_iters",
-                    stop_reason=reason,
-                    trace=tuple(trace),
-                )
-            )
-            if best is None or f_final < best[0]:
-                best = (f_final, j, state, reason != "max_iters")
+        for log, state in _solve_stack(q, q_hat.shape, starts, list(group), config.max_iters):
+            logs.append(log)
+            states[log.restart] = state
         if logs[-1].stop_reason == "fit_floor":
             break
-    f_best, j_best, state, conv_best = best
-    system = canonicalize(_system(state))
+    best = min(logs, key=lambda e: (e.objective, e.restart))
+    system = canonicalize(_system(states[best.restart]))
     return InversionResult(
         p_hat=system.p,
         channels_hat=system.channels,
-        objective_value=f_best,
-        converged=conv_best,
-        best_restart=j_best,
+        objective_value=best.objective,
+        best_restart=best.restart,
         restart_log=tuple(logs),
         near_boundary=bool(np.any(system.p.probs < BOUNDARY_MASS)),
         n=q_hat.n,

@@ -235,7 +235,7 @@ def test_criterion_09_screening_off(verdict):
     for seed in range(100):
         L = 2 + seed % 3
         sys_ = dc.random_system(L, 2 + seed % 2, 2 + seed % 3, 90_000 + seed)
-        passed += dc.conjunctive_fork_check(sys_, tol=1e-10)
+        passed += dc.conjunctive_fork_check(sys_)
 
     flip = 0.2
     w = np.array([[1 - flip, flip], [flip, 1 - flip]])

@@ -46,6 +46,7 @@ class TestNumericalRank:
         assert dc.numerical_rank(np.eye(3)) == 3
         assert dc.numerical_rank(np.ones((3, 3))) == 1
         assert dc.numerical_rank(np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])) == 1
+        assert dc.numerical_rank(np.zeros((2, 3))) == 0
 
     def test_tolerance_is_relative(self):
         # An absolute cutoff of 1e-9 would give rank 0 to the second matrix.
@@ -61,6 +62,12 @@ class TestNumericalRank:
             dc.min_activation_order(W_MIDPOINT, 3, tol=1e-3)
         with pytest.raises(TypeError):
             dc.kernels_equal([W_MIDPOINT, W_FOUR], tol=1e-3)
+        # The screening-off checks share the one cutoff, SCREENING_ATOL.
+        fork = dc.random_system(2, 2, 3, 0)
+        with pytest.raises(TypeError):
+            dc.conjunctive_fork_check(fork, tol=1e-3)
+        with pytest.raises(TypeError):
+            dc.conditionally_independent_given_cause(dc.output_distribution(fork), tol=1e-3)
 
 
 class TestActivationInvertible:
@@ -145,6 +152,9 @@ class TestKernelsEqual:
             a = dc.random_channel(rng, 2, 3)
             b = dc.random_channel(rng, 2, 3)
             assert not dc.kernels_equal([a, b])
+        # Channels of different rank differ before any stacking.
+        collapsed = dc.Channel(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        assert not dc.kernels_equal([dc.Channel(np.eye(2)), collapsed])
 
     def test_symmetric(self):
         rng = np.random.default_rng(11)
@@ -278,6 +288,16 @@ class TestK2AmbiguityWitness:
         flat = dc.Channel(np.array([[0.5, 0.5], [0.5, 0.5]]))
         with pytest.raises(ValueError):
             dc.k2_ambiguity_witness(HALF, flat)
+
+    def test_one_symbol_hidden_needs_an_explicit_channel(self):
+        # Every channel fixes a one-symbol p, so no default channel can make
+        # the two readings differ; an explicit one gives the degenerate pair.
+        point = dc.Distribution(np.array([1.0]))
+        with pytest.raises(ValueError, match="fixed point"):
+            dc.k2_ambiguity_witness(point)
+        w = dc.k2_ambiguity_witness(point, dc.Channel(np.array([[1.0]])))
+        assert w.degenerate
+        np.testing.assert_array_equal(w.second.p.probs, [1.0])
 
     def test_deterministic(self):
         a = dc.k2_ambiguity_witness(seed=12)

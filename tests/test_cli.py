@@ -293,6 +293,11 @@ class TestCheck:
         square = tmp_path / "square.json"
         run_cli("gen", "--L", "2", "--K", "3", "--seed", "1", "--out", str(square))
         assert "share one kernel" in run_cli("check", "kernels", "--system", str(square))[1]
+        single = tmp_path / "single.json"
+        run_cli("gen", "--L", "2", "--K", "1", "--seed", "1", "--out", str(single))
+        code, _, err = run_cli("check", "kernels", "--system", str(single))
+        assert code == 2
+        assert "at least two channels" in err
 
     def test_fork(self, rect_path):
         code, out, _ = run_cli("check", "fork", "--system", str(rect_path))

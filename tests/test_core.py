@@ -89,6 +89,7 @@ class TestPermutation:
     def test_identity_and_inverse(self):
         tau = dc.Permutation((2, 3, 1))
         assert tau.size == 3
+        assert [tau(i) for i in (1, 2, 3)] == [2, 3, 1]
         assert tau.inverse().mapping == (3, 1, 2)
         assert tau.inverse().inverse().mapping == tau.mapping
 
@@ -106,6 +107,9 @@ class TestPermutation:
             dc.Permutation((0, 1))
         with pytest.raises(ValueError):
             dc.Permutation(())
+        for i in (0, 4):
+            with pytest.raises(ValueError, match="outside domain"):
+                dc.Permutation((2, 3, 1))(i)
 
 
 class TestJointTensor:

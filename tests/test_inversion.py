@@ -32,6 +32,15 @@ class TestProjectSimplex:
             dc.project_simplex(np.array([2.0, 0.0])).probs, [1.0, 0.0]
         )
 
+    @pytest.mark.parametrize(
+        "v, match",
+        [(np.ones((2, 2)), "1-D"), (np.array([]), "non-empty"), (np.array([0.5, np.nan]), "finite")],
+        ids=["2d", "empty", "nan"],
+    )
+    def test_rejects_non_vectors_and_non_finite(self, v, match):
+        with pytest.raises(ValueError, match=match):
+            dc.project_simplex(v)
+
     def test_common_shift(self):
         # (0.6, 0.6): subtract the common KKT shift 0.1 from both entries.
         np.testing.assert_allclose(
@@ -204,6 +213,8 @@ class TestInversionConfig:
             dc.InversionConfig(L=0)
         with pytest.raises(ValueError):
             dc.InversionConfig(L=2, restarts=0)
+        with pytest.raises(ValueError):
+            dc.InversionConfig(L=2, max_iters=0)
         with pytest.raises(TypeError):
             dc.InversionConfig(L=2, step_tol=1e-8)
         for kind in ("linf", "l1", "kl"):
@@ -353,6 +364,11 @@ class TestRecoverSystem:
         assert res.restart_log[-1].stop_reason == "fit_floor"
         for entry in res.restart_log:
             assert entry.converged == (entry.stop_reason != "max_iters")
+        assert res.converged == res.restart_log[res.best_restart].converged
+        # A restart's outcome is its stop reason; the flags are derived from it.
+        fields = ["restart", "objective", "iterations", "stop_reason", "trace"]
+        assert [f.name for f in dataclasses.fields(dc.RestartLog)] == fields
+        assert "converged" not in {f.name for f in dataclasses.fields(dc.InversionResult)}
         batch = dc.sample_dcs(dc.random_system(2, 2, 3, 0), 10_000, 1000)
         q = dc.ml_estimate(dc.type_counts(batch))
         res = dc.recover_system(q, dc.InversionConfig(L=2, restarts=3, max_iters=5, seed=0))
@@ -422,6 +438,8 @@ class TestRecoverSystem:
 
     def test_invalid_inputs(self):
         q = dc.JointTensor((2, 2, 2), np.full(8, 0.125))
+        with pytest.raises(ValueError, match="one output alphabet"):
+            dc.recover_system(dc.JointTensor((2, 3, 2), np.full(12, 1 / 12)), dc.InversionConfig(L=2))
         with pytest.raises(ValueError):
             dc.recover_system(q, dc.InversionConfig(L=0))
         not_normalized = np.full(8, 0.125)
