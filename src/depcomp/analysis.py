@@ -24,10 +24,12 @@ from .core import (
     DCSystem,
     Distribution,
     JointTensor,
+    _check_seed,
     channel_invertible,
     check_dense_cells,
     column_gaps,
     forward_law,
+    free_parameters,
     khatri_rao,
     numerical_rank,
 )
@@ -179,20 +181,19 @@ def pairwise_mutual_information(q: JointTensor) -> np.ndarray:
 
 
 def parameter_count_feasible(L: int, K: int) -> bool:
-    """Whether the output law has at least as many cells as free parameters.
+    """Whether the output law has at least as many free cells as free parameters.
 
-    A system with ``L`` hidden and output symbols has ``K (L - 1) L + L``
-    coordinates (after stochasticity constraints, before the simplex one)
-    against ``L^K`` observable cells; recovery is hopeless when the former
-    exceeds the latter.
+    With ``L`` hidden and output symbols the law has ``L^K - 1`` free cells
+    and the system `free_parameters(L, L, K)`; recovery is hopeless when the
+    latter exceeds the former.
     """
     if L < 2 or K < 1:
         raise ValueError("need an alphabet of size at least 2 and at least one channel")
-    rhs = K * (L - 1) * L + L
-    # L^K >= 2^(K (bits(L) - 1)) >= 2^bits(rhs) > rhs: large K never forms L^K.
-    if K * (L.bit_length() - 1) >= rhs.bit_length():
+    d = free_parameters(L, L, K)
+    # L^K >= 2^(K (bits(L) - 1)) >= 2^bits(d) > d: large K never forms L^K.
+    if K * (L.bit_length() - 1) >= d.bit_length():
         return True
-    return L**K >= rhs
+    return L**K - 1 >= d
 
 
 @dataclass(frozen=True)
@@ -215,7 +216,7 @@ def k2_ambiguity_witness(
     set) only when ``p`` happens to be a fixed point of ``r``.  A one-symbol
     ``p`` is a fixed point of every channel, so it needs an explicit ``r``.
     """
-    rng = Generator(Philox(key=int(seed)))
+    rng = Generator(Philox(key=_check_seed(seed)))
     if p is None:
         probs = rng.dirichlet(np.ones(3))
         while not np.all(probs > 1e-6):
@@ -350,7 +351,7 @@ def search_nonactivating_channel(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = Generator(Philox(key=int(seed)))
+    rng = Generator(Philox(key=_check_seed(seed)))
     for _ in range(trials):
         ch = random_channel(rng, Lprime, L)
         if not activation_invertible(ch, K):

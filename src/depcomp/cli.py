@@ -23,7 +23,7 @@ from .analysis import (
     pairwise_mutual_information,
     parameter_count_feasible,
 )
-from .core import output_distribution
+from .core import free_parameters, output_distribution
 from .inversion import OBJECTIVE_KINDS, InversionConfig, recover_system
 from .io import (
     load_samples,
@@ -184,8 +184,6 @@ def _cmd_check_activation(args) -> int:
 
 def _cmd_check_kernels(args) -> int:
     system = load_system(args.system)
-    if system.num_channels < 2:
-        raise ValueError("kernel comparison needs at least two channels")
     same = kernels_equal(system.channels)
     print("all channels share one kernel" if same else "channels have differing kernels")
     return 0
@@ -201,11 +199,12 @@ def _cmd_check_fork(args) -> int:
 def _cmd_check_params(args) -> int:
     L, K = args.L, args.K
     feasible = parameter_count_feasible(L, K)
-    lhs = L**K if K * L.bit_length() <= 64 else f"{L}^{K}"
-    rhs = K * (L - 1) * L + L
-    rhs = rhs if rhs.bit_length() <= 64 else f"{K}*({L}-1)*{L}+{L}"
+    # Counts beyond 64 bits print as formulas: `str` refuses ints of over 4300 digits.
+    lhs = L**K - 1 if K * L.bit_length() <= 64 else f"{L}^{K}-1"
+    rhs = free_parameters(L, L, K)
+    rhs = rhs if rhs.bit_length() <= 64 else f"({L}-1)+{K}*{L}*({L}-1)"
     rel = ">=" if feasible else "<"
-    print(f"observable cells {lhs} {rel} free parameters {rhs}: {'feasible' if feasible else 'infeasible'}")
+    print(f"free cells {lhs} {rel} free parameters {rhs}: {'feasible' if feasible else 'infeasible'}")
     return 0
 
 

@@ -382,6 +382,19 @@ def check_dense_cells(cells: int, what: str) -> None:
         )
 
 
+def _check_seed(seed: int) -> int:
+    """``seed`` as an int, if it fits the one 64-bit word of a Philox key."""
+    seed = int(seed)
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must be a 64-bit unsigned integer")
+    return seed
+
+
+def free_parameters(L: int, Lprime: int, K: int) -> int:
+    """Free parameters of a system: ``L - 1`` in ``p``, ``L (L' - 1)`` per channel."""
+    return (L - 1) + K * L * (Lprime - 1)
+
+
 def column_gaps(entries: np.ndarray):
     """Yield ``(a, gaps)``: L1 distances from column ``a`` to columns ``a+1..``.
 

@@ -45,8 +45,10 @@ from .core import (
     DCSystem,
     Distribution,
     JointTensor,
+    _check_seed,
     check_dense_cells,
     forward_law,
+    free_parameters,
     khatri_rao,
     output_distribution,
     Permutation,
@@ -95,8 +97,7 @@ class InversionConfig:
             raise ValueError("need at least one restart")
         if int(self.max_iters) < 1:
             raise ValueError("need at least one iteration")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -140,10 +141,10 @@ class InversionResult:
     @property
     def df(self) -> int:
         """Free cells of the law, ``L'^K - 1``, less the model's free
-        parameters, ``(L - 1) + K L (L' - 1)``; zero or negative when the
+        parameters, `core.free_parameters`; zero or negative when the
         model has as many parameters as the law has cells, or more."""
         L, K, Lp = self.p_hat.size, len(self.channels_hat), self.channels_hat[0].outputs
-        return Lp**K - 1 - ((L - 1) + K * L * (Lp - 1))
+        return Lp**K - 1 - free_parameters(L, Lp, K)
 
     @property
     def converged(self) -> bool:

@@ -376,23 +376,18 @@ def load_samples(path, output_size: int | None = None) -> SampleBatch:
     spaces or tabs around a field, ``+``, leading zeros, CRLF line ends and
     a missing final newline, and whose errors name the bad row.
 
-    ``output_size`` defaults to the largest symbol observed; the error for a
-    symbol outside ``1..output_size`` names its row.
+    ``output_size`` defaults to the largest symbol observed.  `SampleBatch`
+    checks the records; its errors are raised prefixed with ``sample file:``.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     records = _canonical_records(data)
     if records is None:
         records = _text_records(data)
-    top = int(records.max())
-    if output_size is None:
-        output_size = top
-    elif output_size < 1:
-        raise ValueError("output alphabet size must be at least 1")
-    if records.min() < 1 or top > output_size:
-        row, col = (int(i) + 1 for i in np.argwhere((records < 1) | (records > output_size))[0])
-        raise ValueError(f"sample file: row {row} has y{col} = {records[row - 1, col - 1]}, outside 1..{output_size}")
-    return SampleBatch(output_size, records)
+    try:
+        return SampleBatch(int(records.max()) if output_size is None else output_size, records)
+    except ValueError as exc:
+        raise ValueError(f"sample file: {exc}") from None
 
 
 def result_document(result: InversionResult, config: InversionConfig) -> dict:

@@ -20,6 +20,7 @@ from .core import (
     DCSystem,
     Distribution,
     JointTensor,
+    _check_seed,
     _frozen_array,
     check_dense_cells,
     column_gaps,
@@ -30,14 +31,13 @@ from .core import (
 # per-record layouts are padded to a multiple of 4 draws to keep records
 # aligned with counter blocks.
 _PHILOX_BLOCK = 4
-_MAX_SEED = 2**64
 # Weight of the Dirichlet noise in `random_system`'s square channels.
 _NOISE_WEIGHT = 0.3
 
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """``n`` observation records of ``K`` symbols each, 1-based.
+    """``n`` observation records of ``K`` symbols each, in ``1..output_size``.
 
     ``records[t - 1, k - 1]`` is the output of channel ``k`` in record ``t``.
     """
@@ -46,15 +46,12 @@ class SampleBatch:
     records: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.records, dtype=np.int64)
+        arr = _frozen_array(self.records, np.int64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("records must be a non-empty (n, K) integer array")
-        if self.output_size < 1:
-            raise ValueError("output alphabet size must be at least 1")
-        if np.any(arr < 1) or np.any(arr > self.output_size):
-            raise ValueError(f"symbols must lie in 1..{self.output_size}")
-        arr = arr.copy()
-        arr.flags.writeable = False
+        if arr.min() < 1 or arr.max() > self.output_size:
+            row, col = (int(i) + 1 for i in np.argwhere((arr < 1) | (arr > self.output_size))[0])
+            raise ValueError(f"row {row} has y{col} = {arr[row - 1, col - 1]}, outside 1..{self.output_size}")
         object.__setattr__(self, "records", arr)
 
     @property
@@ -72,15 +69,14 @@ class EmpiricalCounts:
 
     ``cells`` are the flat C-order indices of the tuples seen, strictly
     increasing (the same layout as a `JointTensor`'s ``values``), and
-    ``counts[i] >= 1`` is how often cell ``cells[i]`` occurred.  A sample of
-    ``n`` records holds at most ``n`` cells, whatever ``prod(shape)`` is, and
-    validation costs time in the number of cells held.
+    ``counts[i] >= 1`` is how often cell ``cells[i]`` occurred; ``n`` is their
+    sum.  A sample of ``n`` records holds at most ``n`` cells, whatever
+    ``prod(shape)`` is, and validation costs time in the number of cells held.
     """
 
     shape: tuple
     cells: np.ndarray
     counts: np.ndarray
-    n: int
 
     def __post_init__(self):
         shape = tuple(int(s) for s in self.shape)
@@ -100,20 +96,13 @@ class EmpiricalCounts:
                 raise ValueError(f"cells must lie in 0..{size - 1} for shape {shape!r}")
             if arr.min() < 1:
                 raise ValueError("each listed cell must have a positive count")
-        total = int(arr.sum())
-        if total != int(self.n):
-            raise ValueError(f"counts sum to {total}, expected n={self.n}")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "cells", _frozen_array(cells, np.int64))
         object.__setattr__(self, "counts", _frozen_array(arr, np.int64))
-        object.__setattr__(self, "n", int(self.n))
 
-
-def _check_seed(seed: int) -> int:
-    seed = int(seed)
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError("seed must be a 64-bit unsigned integer")
-    return seed
+    @property
+    def n(self) -> int:
+        return int(self.counts.sum())
 
 
 def _record_width(K: int) -> int:
@@ -198,7 +187,7 @@ def type_counts(batch: SampleBatch) -> EmpiricalCounts:
     cells, counts = np.unique(flat_idx, return_counts=True)
     cells.flags.writeable = False
     counts.flags.writeable = False
-    return EmpiricalCounts(shape, cells, counts, batch.n)
+    return EmpiricalCounts(shape, cells, counts)
 
 
 def ml_estimate(counts: EmpiricalCounts) -> JointTensor:
@@ -219,15 +208,15 @@ def ml_estimate(counts: EmpiricalCounts) -> JointTensor:
     return JointTensor(counts.shape, q, counts.n)
 
 
-def typicality_test(q_hat: JointTensor, q: JointTensor, n: int) -> bool:
-    """Whether ``q_hat`` is within the concentration radius of ``q``.
+def typicality_test(q_hat: JointTensor, q: JointTensor) -> bool:
+    """Whether the estimate ``q_hat`` is within the concentration radius of ``q``.
 
-    Accepts iff ``D(q_hat || q) <= 1/sqrt(n)`` (bits); the radius shrinks
-    slowly enough that true samples pass with probability -> 1.
+    Accepts iff ``D(q_hat || q) <= 1/sqrt(q_hat.n)`` (bits); the radius
+    shrinks slowly enough that true samples pass with probability -> 1.
     """
-    if int(n) < 1:
-        raise ValueError("sample size must be at least 1")
-    return kl_divergence(q_hat, q) <= 1.0 / math.sqrt(int(n))
+    if q_hat.n is None:
+        raise ValueError("typicality needs an estimated law; q_hat is exact (n is None)")
+    return kl_divergence(q_hat, q) <= 1.0 / math.sqrt(q_hat.n)
 
 
 def random_channel(

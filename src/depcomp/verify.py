@@ -244,7 +244,7 @@ def _suite_concentration(seed: int):
     trials = 40
     for t in range(trials):
         q_hat = ml_estimate(type_counts(sample_dcs(system, n, seed + 500 + t)))
-        if not typicality_test(q_hat, q, n):
+        if not typicality_test(q_hat, q):
             failures += 1
     checks.append((f"{failures}/{trials} typicality failures at n={n}", failures <= max(1, trials // 20)))
     medians = []

@@ -187,9 +187,7 @@ def test_criterion_07_estimate_concentration(verdict):
     q = dc.output_distribution(system)
     failures = sum(
         not dc.typicality_test(
-            dc.ml_estimate(dc.type_counts(dc.sample_dcs(system, 10_000, 50_000 + t))),
-            q,
-            10_000,
+            dc.ml_estimate(dc.type_counts(dc.sample_dcs(system, 10_000, 50_000 + t))), q
         )
         for t in range(200)
     )

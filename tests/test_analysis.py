@@ -248,9 +248,10 @@ class TestPairwiseMutualInformation:
 
 class TestParameterCount:
     def test_boundary_cases(self):
-        assert dc.parameter_count_feasible(2, 3)  # 8 >= 8, tight
-        assert not dc.parameter_count_feasible(2, 2)  # 4 < 6
-        assert dc.parameter_count_feasible(5, 3)  # 125 >= 65
+        # Free cells L^K - 1 against free parameters (L - 1) + K L (L - 1).
+        assert dc.parameter_count_feasible(2, 3)  # 7 >= 7, tight
+        assert not dc.parameter_count_feasible(2, 2)  # 3 < 5
+        assert dc.parameter_count_feasible(5, 3)  # 124 >= 64
 
     def test_errors(self):
         with pytest.raises(ValueError):

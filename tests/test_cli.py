@@ -13,6 +13,7 @@ import pytest
 import depcomp as dc
 import depcomp.verify as verify
 from depcomp.cli import main
+from depcomp.core import free_parameters
 from depcomp.io import load_result, load_samples, load_system, load_tensor, save_system, save_tensor
 
 
@@ -307,18 +308,18 @@ class TestCheck:
     def test_params(self):
         code, out, _ = run_cli("check", "params", "--L", "2", "--K", "3")
         assert code == 0
-        assert "8 >= free parameters 8: feasible" in out
+        assert out == "free cells 7 >= free parameters 7: feasible\n"
         code, out, _ = run_cli("check", "params", "--L", "2", "--K", "2")
         assert code == 0
         assert "infeasible" in out
 
     def test_params_huge_L(self):
-        # The free-parameter count K(L - 1)L + L has about 5000 digits here.
+        # The free-parameter count (L - 1) + K L (L - 1) has about 5000 digits here.
         L = "9" * 2500
         start = time.perf_counter()
         code, out, err = run_cli("check", "params", "--L", L, "--K", "1")
         assert (code, err) == (0, "")
-        assert out.endswith(f"< free parameters 1*({L}-1)*{L}+{L}: infeasible\n")
+        assert out.endswith(f"< free parameters ({L}-1)+1*{L}*({L}-1): infeasible\n")
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("what", ["activation", "kernels", "fork"])
@@ -330,8 +331,16 @@ class TestCheck:
             start = time.perf_counter()
             code, out, err = run_cli("check", "params", "--L", "10", "--K", K)
             assert (code, err) == (0, "")
-            assert out.endswith(f"10^{K} >= free parameters {int(K) * 90 + 10}: feasible\n")
+            assert out == f"free cells 10^{K}-1 >= free parameters {9 + int(K) * 90}: feasible\n"
             assert time.perf_counter() - start < 1.0
+
+    def test_params_verdict_counts_free_cells(self):
+        for L in range(2, 13):
+            for K in range(1, 41):
+                code, out, _ = run_cli("check", "params", "--L", str(L), "--K", str(K))
+                feasible = L**K - 1 >= free_parameters(L, L, K)
+                assert code == 0
+                assert out.endswith(": feasible\n" if feasible else ": infeasible\n"), (L, K)
 
     def test_activation_oversized_power_exits_2(self, tmp_path):
         # Columns on the segment between u and v: the K-th power has rank

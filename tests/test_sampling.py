@@ -19,25 +19,32 @@ class TestSampleBatch:
         assert b.output_size == 2
 
     def test_symbol_range_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^row 1 has y2 = 3, outside 1\.\.2$"):
             dc.SampleBatch(2, np.array([[1, 3]]))
-        with pytest.raises(ValueError):
-            dc.SampleBatch(2, np.array([[0, 1]]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^row 2 has y1 = 0, outside 1\.\.2$"):
+            dc.SampleBatch(2, np.array([[1, 1], [0, 1]]))
+        with pytest.raises(ValueError, match=r"^row 1 has y1 = 1, outside 1\.\.0$"):
+            dc.SampleBatch(0, np.array([[1, 1]]))
+        with pytest.raises(ValueError, match="non-empty"):
             dc.SampleBatch(2, np.array([1, 2]))
+
+    def test_caller_array_is_copied(self):
+        raw = np.array([[1, 2], [2, 1]])
+        batch = dc.SampleBatch(2, raw)
+        raw[0, 0] = 2
+        np.testing.assert_array_equal(batch.records, [[1, 2], [2, 1]])
+        assert batch.records.dtype == np.int64 and not batch.records.flags.writeable
 
 
 class TestEmpiricalCounts:
     def test_totals_enforced(self):
-        dc.EmpiricalCounts((2,), np.array([0, 1]), np.array([2, 1]), 3)
-        with pytest.raises(ValueError, match="sum to 3"):
-            dc.EmpiricalCounts((2,), np.array([0, 1]), np.array([2, 1]), 4)
+        assert dc.EmpiricalCounts((2,), np.array([0, 1]), np.array([2, 1])).n == 3
         with pytest.raises(ValueError, match="positive count"):
-            dc.EmpiricalCounts((2,), np.array([0, 1]), np.array([-1, 4]), 3)
+            dc.EmpiricalCounts((2,), np.array([0, 1]), np.array([-1, 4]))
 
     def test_caller_array_is_copied(self):
         raw_cells, raw = np.array([0, 1]), np.array([2, 1])
-        counts = dc.EmpiricalCounts((2,), raw_cells, raw, 3)
+        counts = dc.EmpiricalCounts((2,), raw_cells, raw)
         raw_cells[0], raw[0] = 1, 0
         np.testing.assert_array_equal(counts.cells, [0, 1])
         np.testing.assert_array_equal(counts.counts, [2, 1])
@@ -59,7 +66,7 @@ class TestEmpiricalCounts:
     )
     def test_malformed_cells_rejected(self, cells, counts, match):
         with pytest.raises(ValueError, match=match):
-            dc.EmpiricalCounts((2, 2), np.array(cells), np.array(counts), 2)
+            dc.EmpiricalCounts((2, 2), np.array(cells), np.array(counts))
 
 
 def records_by_gather(system, n, seed, chunk):
@@ -152,10 +159,18 @@ class TestSampleDcs:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             dc.sample_dcs(FAIR_COPY, 0, seed=0)
-        with pytest.raises(ValueError):
-            dc.sample_dcs(FAIR_COPY, 10, seed=-3)
-        with pytest.raises(ValueError):
-            dc.sample_dcs(FAIR_COPY, 10, seed=2**64)
+        # Every seeded function keys Philox with one 64-bit word, by one rule.
+        seeded = [
+            lambda s: dc.sample_dcs(FAIR_COPY, 10, seed=s),
+            lambda s: dc.random_system(2, 2, 3, s),
+            lambda s: dc.InversionConfig(L=2, seed=s),
+            lambda s: dc.k2_ambiguity_witness(seed=s),
+            lambda s: dc.search_nonactivating_channel(4, 2, 2, trials=1, seed=s),
+        ]
+        for call in seeded:
+            for seed in (-3, 2**64, 2**100):
+                with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer$"):
+                    call(seed)
 
 
 class TestTypeCounts:
@@ -253,7 +268,7 @@ class TestMlEstimate:
         assert q.values.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_point_mass(self):
-        counts = dc.EmpiricalCounts((2, 2), np.array([1]), np.array([5]), 5)
+        counts = dc.EmpiricalCounts((2, 2), np.array([1]), np.array([5]))
         q = dc.ml_estimate(counts)
         np.testing.assert_array_equal(q.values, [0.0, 1.0, 0.0, 0.0])
         # Unobserved cells are +0.0, as 0 / n is.
@@ -262,17 +277,17 @@ class TestMlEstimate:
     def test_zero_records_rejected(self):
         empty = np.array([], dtype=np.int64)
         with pytest.raises(ValueError, match="zero records"):
-            dc.ml_estimate(dc.EmpiricalCounts((2,), empty, empty, 0))
+            dc.ml_estimate(dc.EmpiricalCounts((2,), empty, empty))
 
     def test_carries_the_sample_size(self):
-        counts = dc.EmpiricalCounts((2, 2), np.array([0, 1, 3]), np.array([1, 5, 2]), 8)
+        counts = dc.EmpiricalCounts((2, 2), np.array([0, 1, 3]), np.array([1, 5, 2]))
         q = dc.ml_estimate(counts)
         assert q.n == 8
         np.testing.assert_array_equal(q.values, np.array([1, 5, 0, 2]) / 8)
 
     def test_refuses_oversized_law(self):
         # One observed cell of 2^40: the counts are valid, the dense law is not.
-        counts = dc.EmpiricalCounts((2,) * 40, np.array([0]), np.array([1]), 1)
+        counts = dc.EmpiricalCounts((2,) * 40, np.array([0]), np.array([1]))
         with pytest.raises(ValueError, match="dense cells"):
             dc.ml_estimate(counts)
 
@@ -292,22 +307,25 @@ class TestMlEstimate:
 class TestTypicalityTest:
     def test_exact_match_passes(self):
         q = dc.output_distribution(FAIR_COPY)
-        assert dc.typicality_test(q, q, 12)
+        assert dc.typicality_test(dc.JointTensor(q.shape, q.values, 12), q)
 
     def test_gross_mismatch_fails(self):
-        qhat = dc.JointTensor((2,), np.array([1.0, 0.0]))
+        qhat = dc.JointTensor((2,), np.array([1.0, 0.0]), 100)
         q = dc.JointTensor((2,), np.array([0.5, 0.5]))
         # KL = 1 bit > 1/sqrt(100) = 0.1.
-        assert not dc.typicality_test(qhat, q, 100)
+        assert not dc.typicality_test(qhat, q)
+
+    def test_exact_law_refused(self):
+        q = dc.output_distribution(FAIR_COPY)
+        with pytest.raises(ValueError, match="exact"):
+            dc.typicality_test(q, q)
 
     def test_sampled_estimates_typically_pass(self):
         sys_ = dc.random_system(2, 2, 3, 31)
         q = dc.output_distribution(sys_)
         passed = sum(
             dc.typicality_test(
-                dc.ml_estimate(dc.type_counts(dc.sample_dcs(sys_, 10_000, 70_000 + t))),
-                q,
-                10_000,
+                dc.ml_estimate(dc.type_counts(dc.sample_dcs(sys_, 10_000, 70_000 + t))), q
             )
             for t in range(50)
         )
@@ -316,9 +334,8 @@ class TestTypicalityTest:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             dc.typicality_test(
-                dc.JointTensor((2,), np.array([0.5, 0.5])),
+                dc.JointTensor((2,), np.array([0.5, 0.5]), 10),
                 dc.JointTensor((3,), np.array([0.5, 0.25, 0.25])),
-                10,
             )
 
 
