@@ -79,11 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--samples", help="sample CSV (estimated internally first)")
     inv.add_argument("--L", type=int, required=True, help="hidden alphabet size to fit")
     inv.add_argument("--Lprime", type=int, default=None, help="output alphabet size for --samples")
-    inv.add_argument("--objective", choices=OBJECTIVE_KINDS, default=InversionConfig.objective)
+    inv.add_argument(
+        "--objective", choices=OBJECTIVE_KINDS, default=InversionConfig.objective,
+        help="criterion for an exact law; a law estimated from samples is fit by likelihood",
+    )
     inv.add_argument("--restarts", type=int, default=InversionConfig.restarts)
     inv.add_argument(
         "--max-iters", type=int, default=InversionConfig.max_iters, dest="max_iters",
-        help="sweeps per restart; a sweep is one step per block plus one extrapolation",
+        help="sweeps per restart; a sweep is one update of every block plus one extrapolation",
     )
     inv.add_argument("--seed", type=int, default=0)
     inv.add_argument("--out", default=None, help="result file path (default: print to stdout)")
@@ -165,7 +168,7 @@ def _cmd_invert(args) -> int:
     if args.out is not None:
         save_result(args.out, result, config)
         print(
-            f"objective {config.objective}={result.objective_value:.6e} "
+            f"objective {result.objective_kind}={result.objective_value:.6e} "
             f"converged={result.converged} near_boundary={result.near_boundary} -> {args.out}"
         )
     else:

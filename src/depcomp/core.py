@@ -196,8 +196,9 @@ class JointTensor:
     coordinate varies fastest.  ``shape[a]`` is the alphabet size of axis
     ``a + 1``.  ``n`` is the number of records an empirical law was
     estimated from, a positive integer below ``2**63`` as the int64 counts
-    are, or ``None`` for an exact law; it sets the solver's restart schedule
-    and the fit statistic ``G²``, never the fit itself.
+    are, or ``None`` for an exact law; it sets the solver's criterion
+    (likelihood for a sampled law, squared distance for an exact one), its
+    restart schedule and the fit statistic ``G²``.
     """
 
     shape: tuple

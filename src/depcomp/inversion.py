@@ -8,26 +8,31 @@ one shape ``(L', L)``: ``J = W_1 diag(p)``, the joint law of ``(Y_1, X)`` and
 one simplex of ``L' * L`` cells, then the channels ``W_2..W_K``, whose
 columns are simplices of ``L'`` cells.  The law is the blocks' Khatri-Rao
 product times a column of ones, and the fit unfolds ``J`` into
-``p = J.sum(axis=0)`` and ``W_1 = J / p`` (`_system`).  The objective is
+``p = J.sum(axis=0)`` and ``W_1 = J / p`` (`_system`).
+
+The criterion follows from the target.  An exact law (``n`` is ``None``) is
+fit in squared Euclidean distance ("l2sq", `_SquaredDistance`), which is
 block-multiconvex: with all blocks but one frozen, the model is linear in the
-free block, so one projected-gradient step serves every block.  It is the
-squared Euclidean distance between the model law and ``q`` ("l2sq").  Every
-full law the solver forms comes from `core.forward_law`, and a block's
-candidates are scored through the law's unfolding along one axis.  A sweep
-takes one backtracking step per block, in order, each starting afresh at step
-1, plus one extrapolation along the movement since the start of the previous
-sweep, accepting only strict decreases, so the iteration is monotone by
-construction.  A restart stops at the fit floor, on convergence (no entry of
-``J`` or of a channel moved by more than ``_STEP_TOL`` in the sweep), or
-after ``max_iters`` sweeps; its log names which in ``stop_reason``
-("fit_floor", "converged" or "max_iters").  Multi-start over seeded restarts
-guards against the poor local minima any single start can hit.  Restarts
-advance in lockstep as one stacked state (`_solve_stack`), each following its
-own path bit for bit, on the schedule `recover_system` sets from the target,
-and the restarts after the first to reach the fit floor are not run, so the
-log and the winner are those of a sequential multi-start.  Results are
-canonicalised to descending hidden mass so the permutation ambiguity cannot
-leak into comparisons.
+free block, so one backtracking projected-gradient step, starting afresh at
+step 1, serves every block; every full law comes from `core.forward_law`,
+and a block's candidates are scored through the law's unfolding along one
+axis.  A sampled law (``n`` set) is fit by maximum likelihood
+("likelihood", `_Likelihood`): the divergence ``D(q̂ ‖ m)`` in nats over the
+observed cells, lowered by one EM update of all blocks, whose E-step and
+M-step touch only the cells with ``q̂_c > 0``.  Either way a sweep is that
+update plus one extrapolation along the movement since the start of the
+previous sweep, accepting only strict decreases, so the iteration is
+monotone by construction.  A restart stops at the fit floor, on convergence
+(no entry of ``J`` or of a channel moved by more than ``_STEP_TOL`` in the
+sweep), or after ``max_iters`` sweeps; its log names which in
+``stop_reason`` ("fit_floor", "converged" or "max_iters").  Multi-start over
+seeded restarts guards against the poor local minima any single start can
+hit.  Restarts advance in lockstep as one stacked state (`_solve_stack`),
+each following its own path bit for bit, on the schedule `recover_system`
+sets from the target, and the restarts after the first to reach the fit
+floor are not run, so the log and the winner are those of a sequential
+multi-start.  Results are canonicalised to descending hidden mass so the
+permutation ambiguity cannot leak into comparisons.
 """
 
 from __future__ import annotations
@@ -77,9 +82,11 @@ class InversionConfig:
     """Solver settings; ``L`` is the hidden alphabet size to fit.
 
     ``objective`` is one of `OBJECTIVE_KINDS`, which holds only "l2sq" (see
-    `objective`).  ``max_iters`` counts sweeps.  The rest is fixed: a
-    converged sweep moves no entry of any block, ``J = W_1 diag(p)`` or a
-    channel ``W_2..W_K``, by more than ``_STEP_TOL`` (1e-10).
+    `objective`), the criterion for an exact law; a sampled law is always
+    fit by likelihood (`InversionResult.objective_kind`).  ``max_iters``
+    counts sweeps.  The rest is fixed: a converged sweep moves no entry of
+    any block, ``J = W_1 diag(p)`` or a channel ``W_2..W_K``, by more than
+    ``_STEP_TOL`` (1e-10).
     """
 
     L: int
@@ -104,7 +111,10 @@ class InversionConfig:
 class RestartLog:
     """One restart's outcome; ``trace`` is its objective at the start and after each sweep.
 
-    ``stop_reason`` is "fit_floor", "converged" or "max_iters".
+    ``objective`` and ``trace`` are in the fit's criterion,
+    `InversionResult.objective_kind`: "l2sq" for an exact law, ``D(q̂ ‖ m)``
+    in nats for a sampled one.  ``stop_reason`` is "fit_floor", "converged"
+    or "max_iters".
     """
 
     restart: int
@@ -123,10 +133,11 @@ class RestartLog:
 class InversionResult:
     """The best restart's fit, in canonical form, with every restart's log.
 
-    ``n`` is the target's sample size, ``None`` for an exact law.  ``g2`` is
-    the likelihood-ratio statistic of the fit (`_g2`), ``None`` for an exact
-    law or when an observed cell has model mass 0; ``df`` is its degrees of
-    freedom.
+    ``n`` is the target's sample size, ``None`` for an exact law; it sets
+    the criterion, `objective_kind`, in which ``objective_value`` is given.
+    ``g2`` is the likelihood-ratio statistic of the fit (`_g2`), ``2n *
+    objective_value`` up to rounding, ``None`` for an exact law or when an
+    observed cell has model mass 0; ``df`` is its degrees of freedom.
     """
 
     p_hat: Distribution
@@ -145,6 +156,12 @@ class InversionResult:
         model has as many parameters as the law has cells, or more."""
         L, K, Lp = self.p_hat.size, len(self.channels_hat), self.channels_hat[0].outputs
         return Lp**K - 1 - free_parameters(L, Lp, K)
+
+    @property
+    def objective_kind(self) -> str:
+        """The criterion the fit minimised, set by the target: "l2sq" for an
+        exact law, "likelihood" (``D(q̂ ‖ m)`` in nats) for a sampled one."""
+        return "l2sq" if self.n is None else "likelihood"
 
     @property
     def converged(self) -> bool:
@@ -286,27 +303,117 @@ def _descend(X, fwd, adj, q, m_cur, f_cur):
     return X_new, m_new, f_new, np.abs(X_new - X).max(axis=(1, 2))
 
 
-def _solve_stack(q, shape, starts: list, ids: list, max_iters: int) -> list:
-    """Alternating block descent from several starts in lockstep.
+class _SquaredDistance:
+    """The exact-law criterion "l2sq": the squared Euclidean distance to the
+    target, lowered by one backtracking projected-gradient step per block
+    (`_descend`).  A state's cache is its flat model law: `core.forward_law`
+    when scored, else the law `_block_maps` gave the last accepted block
+    candidate, which agrees with it up to rounding.  Each block's gradient
+    starts from it."""
 
+    def __init__(self, q_hat: JointTensor):
+        self.q, self.shape = q_hat.values, q_hat.shape
+
+    def score(self, S):
+        m = forward_law(np.ones((len(S), S.shape[-1])), list(S.swapaxes(0, 1)))
+        return m, _objective(m, self.q)
+
+    def sweep(self, S, m, f):
+        """One step per block in order, each backtracking from step 1 with
+        no step carried over from earlier sweeps, on a copy of ``S``."""
+        S = S.copy()
+        K, Lp, L = S.shape[1:]
+        # The shape in which each block's columns are its simplices.
+        views = [(Lp * L, 1)] + [(Lp, L)] * (K - 1)
+        move = 0.0
+        for k, view in enumerate(views):
+            fwd, adj = _block_maps(k, _others_product(S, k), self.shape)
+            X, m, f, d = _descend(S[:, k].reshape(-1, *view), fwd, adj, self.q, m, f)
+            S[:, k] = X.reshape(-1, Lp, L)
+            move = np.maximum(move, d)
+        return S, m, f, move
+
+
+class _Likelihood:
+    """The sampled-law criterion: the divergence ``D(q̂ ‖ m)`` over the
+    observed cells (`_divergence`), lowered by EM (Dempster, Laird & Rubin
+    1977; Goodman 1974).  Only cells with ``q̂_c > 0`` enter: ``ys[k]`` holds
+    each observed cell's symbol on axis ``k``, as a row of the state's
+    ``(K L', L)`` unfolding.  A state's cache is ``P``, of shape ``(R, C,
+    L)``: ``P[r, c, x] = J[y_1, x] prod_{k>=2} W_k[y_k, x]`` at observed
+    cell ``c``, so the model mass there is ``P.sum(axis=2)``."""
+
+    def __init__(self, q_hat: JointTensor):
+        seen = np.flatnonzero(q_hat.values > 0.0)
+        self.q = q_hat.values[seen]
+        Lp, K = q_hat.shape[0], q_hat.axes
+        # A one-hot row per (axis, symbol) sums the posteriors of the cells
+        # showing that symbol on that axis, for every restart in one product.
+        check_dense_cells(K * Lp * seen.size, "the solver's fit")
+        self.ys = np.stack(np.unravel_index(seen, q_hat.shape)) + Lp * np.arange(K)[:, None]
+        self.onehot = np.zeros((K * Lp, seen.size))
+        self.onehot[self.ys, np.arange(seen.size)] = 1.0
+
+    def score(self, S):
+        R, K, Lp, L = S.shape
+        flat = S.reshape(R, K * Lp, L)
+        P = flat.take(self.ys[0], axis=1)
+        for rows in self.ys[1:]:
+            P *= flat.take(rows, axis=1)
+        return P, _divergence(P.sum(axis=2), self.q)
+
+    def sweep(self, S, P, f):
+        """One EM update.  The E-step weighs each observed cell's posterior
+        over the hidden symbol by ``q̂_c``; the M-step sets ``J`` to those
+        weights summed by ``y_1`` and each ``W_k`` to those summed by
+        ``y_k``, divided by their column sums (the new ``p``), a zero-mass
+        column getting the uniform ``1/L'`` as in `_system`.  An update is
+        kept where it does not raise the objective, which EM never does but
+        for rounding, so every trace is non-increasing."""
+        Lp = S.shape[2]
+        N = (self.onehot @ (P * (self.q / P.sum(axis=2))[:, :, None])).reshape(S.shape)
+        col = N[:, 1:].sum(axis=2, keepdims=True)
+        N[:, 1:] = np.divide(N[:, 1:], col, out=np.full_like(N[:, 1:], 1.0 / Lp), where=col > 0.0)
+        P_new, f_new = self.score(N)
+        take = f_new <= f
+        move = np.where(take, np.abs(N - S).max(axis=(1, 2, 3)), 0.0)
+        if take.all():
+            return N, P_new, f_new, move
+        return _pick(take, N, S), _pick(take, P_new, P), np.where(take, f_new, f), move
+
+
+def _divergence(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``D(q ‖ m) = sum_c q_c ln(q_c / m_c)`` in nats along the last axis,
+    for ``q > 0``; ``inf`` where some ``m_c`` is 0.  Each row reduces exactly
+    as a lone law would."""
+    with np.errstate(divide="ignore"):
+        return (q * np.log(q / m)).sum(axis=-1)
+
+
+def _pick(take: np.ndarray, new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Per restart (axis 0), ``new`` where ``take`` holds, else ``old``."""
+    return np.where(take.reshape(-1, *(1,) * (new.ndim - 1)), new, old)
+
+
+def _solve_stack(criterion, starts: list, ids: list, max_iters: int) -> list:
+    """Multi-start descent from several starts in lockstep.
+
+    ``criterion`` is `_SquaredDistance` for an exact law or `_Likelihood`
+    for a sampled one: ``criterion.score(S)`` gives a state stack's cache
+    and objectives, and ``criterion.sweep(S, cache, f)`` one non-increasing
+    update with each restart's largest entry change.
     ``starts[r]`` is restart ``ids[r]``'s ``(K, L', L)`` state (see
     `_block_maps`): ``J = W_1 diag(p)`` followed by the channels
     ``W_2..W_K``.  The stack of states is one ``(R', K, L', L)`` array, so
     each sweep pays the Python overhead once for all restarts, and every
-    restart follows the path it would follow alone, bit for bit.  ``m_cur``
-    holds the flat model laws of the accepted states: `core.forward_law` at
-    the start and at an accepted extrapolation, else the law `_block_maps`
-    gave the last accepted block candidate, which agrees with
-    `core.forward_law` up to rounding.  Each block's gradient starts from
-    it, and since only strict decreases are accepted no trace ever
-    increases.  One sweep takes one projected step per block in order, each
-    backtracking from step 1 with no step carried over from earlier sweeps,
-    then tries an extrapolated point ``S + gamma (S - prev)`` with each
-    restart's own factor ``gamma`` and keeps it for the restarts whose
-    objective it strictly decreases (monotone heavy-ball), which breaks the
-    slow zigzag of plain alternation.  ``prev`` is the state at the start of
-    the previous sweep, so the direction spans that sweep, its
-    extrapolation and this sweep's block steps.  A restart stops at
+    restart follows the path it would follow alone, bit for bit.  One sweep
+    is ``criterion.sweep``, then an extrapolated point ``S + gamma (S -
+    prev)``, projected back onto the simplices, with each restart's own
+    factor ``gamma``, kept for the restarts whose objective it strictly
+    decreases (monotone heavy-ball), which breaks the slow zigzag of plain
+    alternation; so no trace ever increases.  ``prev`` is the state at the
+    start of the previous sweep, so the direction spans that sweep, its
+    extrapolation and this sweep's update.  A restart stops at
     ``_FIT_FLOOR`` ("fit_floor"), once a sweep moves no entry of ``J`` or a
     channel by more than ``_STEP_TOL`` ("converged"), or after
     ``max_iters`` sweeps ("max_iters"); it then leaves the stack.  Once a
@@ -316,33 +423,23 @@ def _solve_stack(q, shape, starts: list, ids: list, max_iters: int) -> list:
     """
     ids = np.asarray(ids)
     S = np.stack(starts)
-    K, Lp, L = S.shape[1:]
-    # The shape in which each block's columns are its simplices.
-    views = [(Lp * L, 1)] + [(Lp, L)] * (K - 1)
-    m_cur = forward_law(np.ones((len(S), L)), list(S.swapaxes(0, 1)))
-    f_cur = _objective(m_cur, q)
+    cache, f_cur = criterion.score(S)
     traces = [[f] for f in f_cur.tolist()]
     gamma = np.ones(len(ids))
     prev = None
     floor_id = np.inf
     done = []
     for iters in range(1, max_iters + 1):
-        anchor = S.copy()
-        move = 0.0
-        for k, view in enumerate(views):
-            fwd, adj = _block_maps(k, _others_product(S, k), shape)
-            X, m_cur, f_cur, d = _descend(S[:, k].reshape(-1, *view), fwd, adj, q, m_cur, f_cur)
-            S[:, k] = X.reshape(-1, Lp, L)
-            move = np.maximum(move, d)
+        anchor = S
+        S, cache, f_cur, move = criterion.sweep(S, cache, f_cur)
         if prev is not None:
             ex = _project_state(S + gamma[:, None, None, None] * (S - prev))
-            m_ex = forward_law(np.ones((len(S), L)), list(ex.swapaxes(0, 1)))
-            f_ex = _objective(m_ex, q)
+            c_ex, f_ex = criterion.score(ex)
             take = f_ex < f_cur
             if take.any():
                 move = np.where(take, np.maximum(move, np.abs(ex - S).max(axis=(1, 2, 3))), move)
-                S = np.where(take[:, None, None, None], ex, S)
-                m_cur = np.where(take[:, None], m_ex, m_cur)
+                S = _pick(take, ex, S)
+                cache = _pick(take, c_ex, cache)
                 f_cur = np.where(take, f_ex, f_cur)
             # Growing gamma never falls below 0.25, nor shrinking it above 4.
             gamma = np.minimum(np.maximum(gamma * np.where(take, 1.25, 0.5), 0.25), 4.0)
@@ -363,7 +460,7 @@ def _solve_stack(q, shape, starts: list, ids: list, max_iters: int) -> list:
         keep = np.flatnonzero(~stop & (ids < floor_id))
         if keep.size == 0:
             break
-        S, prev, m_cur, f_cur = S[keep], prev[keep], m_cur[keep], f_cur[keep]
+        S, prev, cache, f_cur = S[keep], prev[keep], cache[keep], f_cur[keep]
         gamma, ids = gamma[keep], ids[keep]
         traces = [traces[r] for r in keep]
     return sorted((e for e in done if e[0].restart <= floor_id), key=lambda e: e[0].restart)
@@ -372,16 +469,17 @@ def _solve_stack(q, shape, starts: list, ids: list, max_iters: int) -> list:
 def _g2(q: np.ndarray, n: int | None, system: DCSystem) -> float | None:
     """``G² = 2n sum_c q_c ln(q_c / m_c)`` over the observed cells ``q_c > 0``.
 
-    ``m`` is the fitted system's law (Goodman 1974).  ``None`` for an exact
+    ``m`` is the fitted system's law (Goodman 1974), so for a sampled law
+    ``G²`` is ``2n`` times the fit's ``objective_value``, recomputed from
+    the canonical system and equal up to rounding.  ``None`` for an exact
     law, whose ``n`` is ``None``, and when an observed cell has model mass 0.
     """
     if n is None:
         return None
     m = forward_law(system.p.probs, [ch.entries for ch in system.channels])
     seen = q > 0.0
-    if not np.all(m[seen] > 0.0):
-        return None
-    return float(2.0 * n * np.sum(q[seen] * np.log(q[seen] / m[seen])))
+    d = float(_divergence(m[seen], q[seen]))
+    return 2.0 * n * d if np.isfinite(d) else None
 
 
 def _random_start(rng: Generator, L: int, Lp: int, K: int) -> np.ndarray:
@@ -412,23 +510,26 @@ def _system(state: np.ndarray) -> DCSystem:
 
 
 def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResult:
-    """Fit a hidden system to ``q_hat`` by multi-start alternating descent.
+    """Fit a hidden system to ``q_hat`` by multi-start descent.
 
-    Restarts run in lockstep as one stack (`_solve_stack`), in consecutive
-    groups of at most ``MAX_DENSE_CELLS // (cells * L)`` restarts, so a
-    stack stays under the dense-cell limit the fit is checked against.  On
-    an exact law (``q_hat.n`` is ``None``) restart 0 runs alone first, and
-    restarts 1..R-1 follow unless it reaches the fit floor.  On a sampled
-    law all R restarts start together: its fit floor sits far below the
-    sampling noise, so restart 0 would nearly always run its whole budget
-    alone.  ``n`` sets only this schedule, never a fit.  Restarts after the
-    first to reach the fit floor are not run, or dropped, since they could
-    only tie, so the log, the winner and every stop rule are those of a
-    sequential multi-start.  Returns the best restart's system in canonical
-    form (hidden mass sorted descending); the winner is decided by
-    (objective, restart index).  With fewer than three observation axes the
-    target does not pin the system down even in principle, so a
-    ``UserWarning`` is emitted and whichever optimum was found is returned.
+    The criterion follows from the target: an exact law (``q_hat.n`` is
+    ``None``) is fit in squared distance ("l2sq") by block projected-gradient
+    steps, a sampled law by maximum likelihood (``D(q̂ ‖ m)`` in nats, so
+    ``g2 = 2n * objective_value``) by EM on its observed cells.  Restarts run
+    in lockstep as one stack (`_solve_stack`), in consecutive groups of at
+    most ``MAX_DENSE_CELLS // (cells * L)`` restarts, so a stack stays under
+    the dense-cell limit the fit is checked against.  On an exact law
+    restart 0 runs alone first, and restarts 1..R-1 follow unless it reaches
+    the fit floor.  On a sampled law all R restarts start together: its fit
+    floor sits far below the sampling noise, so restart 0 would nearly
+    always run its whole budget alone.  Restarts after the first to reach
+    the fit floor are not run, or dropped, since they could only tie, so
+    the log, the winner and every stop rule are those of a sequential
+    multi-start.  Returns the best restart's system in canonical form
+    (hidden mass sorted descending); the winner is decided by (objective,
+    restart index).  With fewer than three observation axes the target does
+    not pin the system down even in principle, so a ``UserWarning`` is
+    emitted and whichever optimum was found is returned.
     """
     if len(set(q_hat.shape)) != 1:
         raise ValueError("all observation axes must share one output alphabet")
@@ -443,7 +544,7 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
             UserWarning,
             stacklevel=2,
         )
-    q = q_hat.values
+    criterion = _SquaredDistance(q_hat) if q_hat.n is None else _Likelihood(q_hat)
     R = config.restarts
     width = core.MAX_DENSE_CELLS // cells
     first = [range(1)] if q_hat.n is None else []
@@ -454,7 +555,7 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
             _random_start(Generator(Philox(key=config.seed).jumped(j)), config.L, Lp, K)
             for j in group
         ]
-        for log, state in _solve_stack(q, q_hat.shape, starts, list(group), config.max_iters):
+        for log, state in _solve_stack(criterion, starts, list(group), config.max_iters):
             logs.append(log)
             states[log.restart] = state
         if logs[-1].stop_reason == "fit_floor":
@@ -469,7 +570,7 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
         restart_log=tuple(logs),
         near_boundary=bool(np.any(system.p.probs < BOUNDARY_MASS)),
         n=q_hat.n,
-        g2=_g2(q, q_hat.n, system),
+        g2=_g2(q_hat.values, q_hat.n, system),
     )
 
 

@@ -397,7 +397,7 @@ def result_document(result: InversionResult, config: InversionConfig) -> dict:
         "library_version": __version__,
         "seed": int(config.seed),
         "config": dataclasses.asdict(config),
-        "objective": {"kind": config.objective, "value": result.objective_value},
+        "objective": {"kind": result.objective_kind, "value": result.objective_value},
         "converged": result.converged,
         "best_restart": result.best_restart,
         "near_boundary": result.near_boundary,

@@ -241,6 +241,27 @@ class TestInvert:
         assert set(np.array(doc["p_hat"]).shape) == {2}
         assert doc["target"]["n"] == 5000
 
+    def test_objective_kind_follows_the_target(self, tmp_path):
+        # An estimated tensor carries n and is fit by likelihood; a tensor
+        # saved from output_distribution has no n and is fit by l2sq.  The
+        # result document and the summary line name the same kind.
+        sys_path, samples = tmp_path / "system.json", tmp_path / "samples.csv"
+        run_cli("gen", "--L", "2", "--K", "3", "--seed", "6", "--out", str(sys_path))
+        run_cli("simulate", "--system", str(sys_path), "--n", "2000", "--seed", "1", "--out", str(samples))
+        estimated, exact = tmp_path / "q.json", tmp_path / "exact.json"
+        run_cli("estimate", "--samples", str(samples), "--out", str(estimated))
+        save_tensor(exact, dc.output_distribution(load_system(sys_path)))
+        for q_path, kind in [(estimated, "likelihood"), (exact, "l2sq")]:
+            fit_path = tmp_path / f"fit_{kind}.json"
+            code, out, _ = run_cli(
+                "invert", "--q", str(q_path), "--L", "2", "--restarts", "4", "--seed", "0", "--out", str(fit_path),
+            )
+            assert code == 0
+            doc = load_result(fit_path)
+            assert doc["objective"]["kind"] == kind
+            assert out.startswith(f"objective {kind}={doc['objective']['value']:.6e} ")
+            assert doc["config"]["objective"] == "l2sq"
+
     def test_stdout_mode_prints_document(self, tmp_path):
         sys_path = tmp_path / "system.json"
         samples = tmp_path / "samples.csv"

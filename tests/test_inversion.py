@@ -349,9 +349,11 @@ class TestRecoverSystem:
     def test_near_boundary_sample_law_converges(self):
         # Criterion 10's seed 0: true p = [0.992, 0.008], estimated from 1e5
         # records, so the fit floor is out of reach and a restart has to
-        # converge near the simplex boundary within the sweep budget.
+        # converge near the simplex boundary within the sweep budget.  The
+        # values are fit as an exact law, so the l2sq steps run.
         batch = dc.sample_dcs(dc.random_system(2, 2, 3, 0), 100_000, 1000)
         q = dc.ml_estimate(dc.type_counts(batch))
+        q = dc.JointTensor(q.shape, q.values)
         res = dc.recover_system(q, dc.InversionConfig(L=2, restarts=8, seed=0))
         assert res.objective_value < 3e-7
         assert any(entry.converged for entry in res.restart_log)
@@ -379,8 +381,11 @@ class TestRecoverSystem:
         # Restarts run as one stack must each follow their own path, bit for
         # bit: restarts 0-2 of an 8-restart fit are those of a 3-restart fit,
         # and a stack one restart wide changes neither the result nor the log.
+        # The sampled values are fit as an exact law, so the l2sq steps run;
+        # TestLikelihood checks the same of a sampled fit.
         batch = dc.sample_dcs(dc.random_system(2, 2, 3, 0), 100_000, 1000)
         q = dc.ml_estimate(dc.type_counts(batch))
+        q = dc.JointTensor(q.shape, q.values)
         full = dc.recover_system(q, dc.InversionConfig(L=2, restarts=8, max_iters=300, seed=0))
         short = dc.recover_system(q, dc.InversionConfig(L=2, restarts=3, max_iters=300, seed=0))
         assert len(full.restart_log) == 8
@@ -466,18 +471,43 @@ def assert_same_fit(a, b):
         assert np.array_equal(u.entries, v.entries)
 
 
+def divergence(q, m):
+    """``D(q ‖ m)`` in nats over the cells where ``q > 0``, by the formula."""
+    seen = q > 0.0
+    return float(np.sum(q[seen] * np.log(q[seen] / m[seen])))
+
+
+def assert_likelihood_fit(res, q):
+    """A sampled law's fit reports its likelihood: the kind, a non-increasing
+    trace per restart, ``g2 = 2n * objective_value``, and an objective that
+    is ``D(q̂ ‖ m)`` of the fit's own law."""
+    assert res.n == q.n and res.objective_kind == "likelihood"
+    for entry in res.restart_log:
+        assert np.all(np.diff(entry.trace) <= 0.0)
+    two_n = 2.0 * q.n
+    assert abs(res.g2 - two_n * res.objective_value) <= 1e-9 * abs(res.g2) + two_n * 1e-14
+    fit = dc.output_distribution(dc.DCSystem(res.p_hat, res.channels_hat))
+    assert res.objective_value == pytest.approx(divergence(q.values, fit.values), rel=1e-9, abs=1e-14)
+
+
+def assert_mle(res, q, truth):
+    """The fit's likelihood is at least the truth's: ``D(q̂ ‖ m̂) <= D(q̂ ‖ m)``."""
+    assert res.objective_value <= divergence(q.values, dc.output_distribution(truth).values)
+
+
 class TestSampledSchedule:
-    """A target's ``n`` sets only the restart schedule: the same values fit
-    as a sampled law (every restart in one stack from sweep 1) and as an
-    exact law (restart 0 alone first) give the same logs and fit."""
+    """A target's ``n`` sets the criterion and the restart schedule: a
+    sampled law is fit by likelihood with every restart in one stack from
+    sweep 1, and the same values as an exact law by l2sq with restart 0
+    alone first."""
 
     @pytest.fixture()
     def stack_calls(self, monkeypatch):
         calls, solve_stack = [], inversion._solve_stack
 
-        def counted(q, shape, starts, ids, max_iters):
+        def counted(criterion, starts, ids, max_iters):
             calls.append(list(ids))
-            return solve_stack(q, shape, starts, ids, max_iters)
+            return solve_stack(criterion, starts, ids, max_iters)
 
         monkeypatch.setattr(inversion, "_solve_stack", counted)
         return calls
@@ -488,24 +518,31 @@ class TestSampledSchedule:
         calls.clear()
         exact = dc.recover_system(dc.JointTensor(q.shape, q.values), cfg)
         assert (sampled.n, exact.n) == (q.n, None)
-        assert_same_fit(sampled, exact)
+        assert exact.objective_kind == "l2sq"
+        assert_likelihood_fit(sampled, q)
         return sampled, sampled_calls, list(calls)
 
     @pytest.mark.parametrize("s", range(4))
     def test_noisy_fit_laws(self, s, stack_calls):
-        q = sampled_law(dc.random_system(2, 2, 4, 500 + s), 20_000, 900 + s)
+        truth = dc.random_system(2, 2, 4, 500 + s)
+        q = sampled_law(truth, 20_000, 900 + s)
         cfg = dc.InversionConfig(L=2, restarts=4, max_iters=40, seed=0)
-        _, sampled_calls, exact_calls = self.fit_both_ways(q, cfg, stack_calls)
+        res, sampled_calls, exact_calls = self.fit_both_ways(q, cfg, stack_calls)
+        assert_mle(res, q, truth)
         assert sampled_calls == [[0, 1, 2, 3]]
         assert exact_calls == [[0], [1, 2, 3]]
 
     def test_restart_0_at_the_fit_floor(self, stack_calls):
-        # Criterion 10's seed-1 law: restart 0 reaches the fit floor, so the
-        # sampled fit, whose stack also ran restarts 1-7, logs restart 0 alone.
-        q = sampled_law(dc.random_system(2, 2, 3, 1), 100_000, 1001)
+        # Criterion 10's seed-1 law: as an exact law, restart 0 reaches the
+        # fit floor, so that fit runs restart 0 alone.  The sampled fit runs
+        # restarts 0-7 in one stack; restart 0 converges short of the floor
+        # and restart 1 reaches it, so restarts 2-7 are dropped from the log.
+        truth = dc.random_system(2, 2, 3, 1)
+        q = sampled_law(truth, 100_000, 1001)
         cfg = dc.InversionConfig(L=2, restarts=8, seed=0)
         res, sampled_calls, exact_calls = self.fit_both_ways(q, cfg, stack_calls)
-        assert [(e.restart, e.stop_reason) for e in res.restart_log] == [(0, "fit_floor")]
+        assert [(e.restart, e.stop_reason) for e in res.restart_log] == [(0, "converged"), (1, "fit_floor")]
+        assert_mle(res, q, truth)
         assert sampled_calls == [list(range(8))]
         assert exact_calls == [[0]]
 
@@ -523,6 +560,73 @@ class TestSampledSchedule:
         _, sampled_calls, exact_calls = self.fit_both_ways(q, cfg, stack_calls)
         assert sampled_calls == [[0, 1, 2], [3, 4, 5], [6, 7]]
         assert exact_calls == [[0], [1, 2, 3], [4, 5, 6], [7]]
+
+
+class TestLikelihood:
+    """A sampled law is fit by maximum likelihood, by EM on its observed cells."""
+
+    @pytest.mark.parametrize("s", range(20))
+    def test_criterion_10_laws_fit_at_least_the_truth(self, s):
+        # Criterion 10's laws: n = 1e5, 8 restarts, the default budget.
+        truth = dc.random_system(2, 2, 3, s)
+        q = sampled_law(truth, 100_000, 1000 + s)
+        res = dc.recover_system(q, dc.InversionConfig(L=2, restarts=8, seed=0))
+        assert_likelihood_fit(res, q)
+        assert_mle(res, q, truth)
+
+    def test_lockstep_restarts_match_a_shorter_fit(self, monkeypatch):
+        # Restarts 0-2 of an 8-restart sampled fit are those of a 3-restart
+        # fit, and a stack three restarts wide changes neither the result
+        # nor the log, bit for bit.  The limit admits the criterion's one-hot
+        # of K L' rows by 8 observed cells, three times a restart's 8 * 2.
+        q = sampled_law(dc.random_system(2, 2, 3, 0), 100_000, 1000)
+        full = dc.recover_system(q, dc.InversionConfig(L=2, restarts=8, max_iters=300, seed=0))
+        short = dc.recover_system(q, dc.InversionConfig(L=2, restarts=3, max_iters=300, seed=0))
+        assert len(full.restart_log) == 8
+        assert full.restart_log[:3] == short.restart_log
+        assert len({e.iterations for e in full.restart_log}) > 2
+        assert {e.stop_reason for e in full.restart_log} == {"converged", "max_iters"}
+        monkeypatch.setattr(core, "MAX_DENSE_CELLS", 3 * 2 * q.values.size)
+        narrow = dc.recover_system(q, dc.InversionConfig(L=2, restarts=8, max_iters=300, seed=0))
+        assert_same_fit(narrow, full)
+        assert narrow.objective_value == full.objective_value
+
+    def test_one_hot_counts_against_the_dense_limit(self, monkeypatch):
+        # The same law's one-hot has 3 * 2 * 8 = 48 cells; one fewer is
+        # refused before it allocates, though a restart's 16 would fit.
+        q = sampled_law(dc.random_system(2, 2, 3, 0), 100_000, 1000)
+        monkeypatch.setattr(core, "MAX_DENSE_CELLS", 47)
+        with pytest.raises(ValueError, match="the solver's fit needs 48 dense cells"):
+            dc.recover_system(q, dc.InversionConfig(L=2, restarts=8, seed=0))
+
+    def test_unobserved_cells_are_left_out(self):
+        # A law seen only on the diagonal: the criterion holds the two
+        # observed cells, and its objective is D(q̂ ‖ m) over them alone.
+        q = dc.JointTensor((2, 2, 2), np.array([0.6, 0, 0, 0, 0, 0, 0, 0.4]), n=10)
+        res = dc.recover_system(q, dc.InversionConfig(L=2, restarts=4, max_iters=50, seed=0))
+        assert_likelihood_fit(res, q)
+        assert inversion._Likelihood(q).q.tolist() == [0.6, 0.4]
+
+    def test_zero_mass_extrapolation_is_rejected(self, monkeypatch):
+        # Every extrapolated point is replaced by identity channels, which
+        # give the observed off-diagonal cells model mass 0: its objective
+        # is inf, computed without a RuntimeWarning (warnings are errors in
+        # this suite), and no restart takes it.
+        q = sampled_law(dc.random_system(2, 2, 3, 3), 10_000, 1003)
+        point = np.stack([np.diag([0.5, 0.5]), np.eye(2), np.eye(2)])
+        _, f = inversion._Likelihood(q).score(point[None])
+        assert f.tolist() == [np.inf]
+        tried = []
+
+        def identity_channels(S):
+            tried.append(len(S))
+            return np.broadcast_to(point, S.shape).copy()
+
+        monkeypatch.setattr(inversion, "_project_state", identity_channels)
+        res = dc.recover_system(q, dc.InversionConfig(L=2, restarts=2, max_iters=30, seed=0))
+        assert tried
+        assert_likelihood_fit(res, q)
+        assert all(np.isfinite(e.trace).all() for e in res.restart_log)
 
 
 class TestG2:
