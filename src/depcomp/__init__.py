@@ -4,8 +4,8 @@ A *dependent component system* couples one hidden discrete distribution with
 ``K`` independent column-stochastic channels that each read the same hidden
 draw.  This package simulates such systems, estimates their joint output law
 from samples, recovers the hidden pieces up to relabeling by multi-start
-alternating minimization, and ships verifiable diagnostics for exactly when
-that recovery is (im)possible.
+fitting (EM for a sampled law, projected gradient for an exact one), and
+ships verifiable diagnostics for exactly when that recovery is (im)possible.
 """
 
 from .analysis import (
@@ -22,7 +22,6 @@ from .analysis import (
     min_activation_order,
     pairwise_mutual_information,
     parameter_count_feasible,
-    search_nonactivating_channel,
     vanishing_infimum_demo,
 )
 from .core import (
@@ -32,14 +31,11 @@ from .core import (
     JointTensor,
     Permutation,
     channel_invertible,
-    diag_embed,
-    dirac,
     khatri_rao,
     kl_divergence,
     lp_distance,
     numerical_rank,
     output_distribution,
-    partial_trace,
     permute_system,
 )
 from .inversion import (
@@ -48,8 +44,6 @@ from .inversion import (
     RestartLog,
     align_permutation,
     canonicalize,
-    objective,
-    project_simplex,
     recover_system,
 )
 from .sampling import (
@@ -85,8 +79,6 @@ __all__ = [
     "channel_invertible",
     "conditionally_independent_given_cause",
     "conjunctive_fork_check",
-    "diag_embed",
-    "dirac",
     "k2_ambiguity_witness",
     "kernels_equal",
     "khatri_rao",
@@ -97,18 +89,14 @@ __all__ = [
     "min_activation_order",
     "ml_estimate",
     "numerical_rank",
-    "objective",
     "output_distribution",
     "pairwise_mutual_information",
     "parameter_count_feasible",
-    "partial_trace",
     "permute_system",
-    "project_simplex",
     "random_channel",
     "random_system",
     "recover_system",
     "sample_dcs",
-    "search_nonactivating_channel",
     "type_counts",
     "typicality_test",
     "vanishing_infimum_demo",

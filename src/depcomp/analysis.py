@@ -33,7 +33,6 @@ from .core import (
     khatri_rao,
     numerical_rank,
 )
-from .sampling import random_channel
 
 # Two distributions closer than this (L1) are considered identical: two
 # channel columns that make activation impossible, or the two readings of a
@@ -338,22 +337,3 @@ def vanishing_infimum_demo(
         x = d[keep] / b[keep]
         out.append(float(np.sum(b[keep] * ((1.0 + x) * np.log1p(x) - x)) / math.log(2.0)))
     return out
-
-
-def search_nonactivating_channel(
-    L: int, Lprime: int, K: int, trials: int, seed: int
-) -> Channel | None:
-    """Seeded search for a distinct-column channel that K copies cannot invert.
-
-    Returns the first random channel (Dirichlet columns, pairwise distinct)
-    whose K-fold column-power matrix is rank deficient, or None if ``trials``
-    draws all activate.
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    rng = Generator(Philox(key=_check_seed(seed)))
-    for _ in range(trials):
-        ch = random_channel(rng, Lprime, L)
-        if not activation_invertible(ch, K):
-            return ch
-    return None

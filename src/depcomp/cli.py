@@ -24,7 +24,7 @@ from .analysis import (
     parameter_count_feasible,
 )
 from .core import free_parameters, output_distribution
-from .inversion import OBJECTIVE_KINDS, InversionConfig, recover_system
+from .inversion import InversionConfig, recover_system
 from .io import (
     load_samples,
     load_system,
@@ -79,10 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--samples", help="sample CSV (estimated internally first)")
     inv.add_argument("--L", type=int, required=True, help="hidden alphabet size to fit")
     inv.add_argument("--Lprime", type=int, default=None, help="output alphabet size for --samples")
-    inv.add_argument(
-        "--objective", choices=OBJECTIVE_KINDS, default=InversionConfig.objective,
-        help="criterion for an exact law; a law estimated from samples is fit by likelihood",
-    )
     inv.add_argument("--restarts", type=int, default=InversionConfig.restarts)
     inv.add_argument(
         "--max-iters", type=int, default=InversionConfig.max_iters, dest="max_iters",
@@ -159,7 +155,6 @@ def _cmd_invert(args) -> int:
         q_hat = ml_estimate(type_counts(load_samples(args.samples, args.Lprime)))
     config = InversionConfig(
         L=args.L,
-        objective=args.objective,
         restarts=args.restarts,
         max_iters=args.max_iters,
         seed=args.seed,

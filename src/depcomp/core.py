@@ -6,8 +6,8 @@ independently garbles the *same* hidden draw, and the observable object is the
 joint distribution of the ``K`` outputs.  This module provides validated
 containers for the pieces (`Distribution`, `Channel`, `Permutation`,
 `JointTensor`, `DCSystem`) and the linear-algebraic operations that connect
-them: the forward map from a system to its joint output law, marginalisation,
-divergences, and the relabeling action that makes recovery ambiguous.
+them: the forward map from a system to its joint output law, divergences,
+and the relabeling action that makes recovery ambiguous.
 
 The forward map, `forward_law`, unfolds the law into a matrix whose rows
 index the first half of the outputs and whose columns index the rest, and
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -296,31 +296,6 @@ class DCSystem:
         return len(self.channels)
 
 
-def dirac(i: int, L: int) -> Distribution:
-    """Point mass at symbol ``i`` in an alphabet of size ``L``."""
-    if L < 1:
-        raise ValueError("alphabet size must be at least 1")
-    if not 1 <= i <= L:
-        raise ValueError(f"symbol {i} outside alphabet of size {L}")
-    v = np.zeros(L)
-    v[i - 1] = 1.0
-    return Distribution(v)
-
-
-def diag_embed(p: Distribution, K: int) -> JointTensor:
-    """Embed ``p`` on the diagonal of the K-fold product alphabet.
-
-    The result puts mass ``p(i)`` on the tuple ``(i, ..., i)`` and zero
-    elsewhere: the joint law of ``K`` perfect copies of one hidden draw.
-    """
-    if K < 1:
-        raise ValueError("need at least one axis")
-    L = p.size
-    out = np.zeros((L,) * K)
-    out[(np.arange(L),) * K] = p.probs
-    return JointTensor.from_array(out)
-
-
 def khatri_rao(mats: Sequence[np.ndarray]) -> np.ndarray:
     """Column-wise Kronecker product of matrices with a common column count.
 
@@ -383,12 +358,17 @@ def check_dense_cells(cells: int, what: str) -> None:
         )
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_seed(seed: int) -> int:
-    """``seed`` as an int, if it fits the one 64-bit word of a Philox key."""
-    seed = int(seed)
-    if not 0 <= seed < 2**64:
+    """``seed`` as an int, if it is an integer that fits the one 64-bit word
+    of a Philox key."""
+    if not _is_integer(seed) or not 0 <= int(seed) < 2**64:
         raise ValueError("seed must be a 64-bit unsigned integer")
-    return seed
+    return int(seed)
 
 
 def free_parameters(L: int, Lprime: int, K: int) -> int:
@@ -422,21 +402,6 @@ def output_distribution(system: DCSystem) -> JointTensor:
     flat = forward_law(system.p.probs, [ch.entries for ch in system.channels])
     flat.flags.writeable = False
     return JointTensor(shape, flat)
-
-
-def partial_trace(t: JointTensor, keep: Iterable[int]) -> JointTensor:
-    """Marginalise onto the 1-based axes in ``keep`` (ascending axis order)."""
-    keep_set = {int(a) for a in keep}
-    if not keep_set:
-        raise ValueError("keep must name at least one axis")
-    bad = [a for a in keep_set if not 1 <= a <= t.axes]
-    if bad:
-        raise ValueError(f"axes {sorted(bad)} outside 1..{t.axes}")
-    drop = tuple(a - 1 for a in range(1, t.axes + 1) if a not in keep_set)
-    arr = t.as_array()
-    if drop:
-        arr = arr.sum(axis=drop)
-    return JointTensor.from_array(arr)
 
 
 def kl_divergence(a: JointTensor, b: JointTensor) -> float:

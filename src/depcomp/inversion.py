@@ -51,11 +51,11 @@ from .core import (
     Distribution,
     JointTensor,
     _check_seed,
+    _is_integer,
     check_dense_cells,
     forward_law,
     free_parameters,
     khatri_rao,
-    output_distribution,
     Permutation,
 )
 
@@ -81,8 +81,8 @@ _STEP_TOL = 1e-10
 class InversionConfig:
     """Solver settings; ``L`` is the hidden alphabet size to fit.
 
-    ``objective`` is one of `OBJECTIVE_KINDS`, which holds only "l2sq" (see
-    `objective`), the criterion for an exact law; a sampled law is always
+    ``objective`` is one of `OBJECTIVE_KINDS`, which holds only "l2sq", the
+    squared Euclidean distance that fits an exact law; a sampled law is always
     fit by likelihood (`InversionResult.objective_kind`).  ``max_iters``
     counts sweeps.  The rest is fixed: a converged sweep moves no entry of
     any block, ``J = W_1 diag(p)`` or a channel ``W_2..W_K``, by more than
@@ -96,13 +96,16 @@ class InversionConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if int(self.L) < 1:
+        for name in ("L", "restarts", "max_iters"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+        if self.L < 1:
             raise ValueError("hidden alphabet size must be at least 1")
         if self.objective not in OBJECTIVE_KINDS:
             raise ValueError(f"objective must be one of {OBJECTIVE_KINDS}")
-        if int(self.restarts) < 1:
+        if self.restarts < 1:
             raise ValueError("need at least one restart")
-        if int(self.max_iters) < 1:
+        if self.max_iters < 1:
             raise ValueError("need at least one iteration")
         _check_seed(self.seed)
 
@@ -185,37 +188,12 @@ def _project_cols(V: np.ndarray) -> np.ndarray:
     return np.maximum(V + ratios.min(axis=-2, keepdims=True), 0.0)
 
 
-def project_simplex(v) -> Distribution:
-    """Nearest probability vector to ``v`` in Euclidean distance."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("input must be a non-empty 1-D vector")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("input entries must be finite")
-    return Distribution(_project_cols(arr[:, None])[:, 0])
-
-
 def _objective(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Squared distance to ``q`` of each row of an ``(R, cells)`` stack of
     flat model laws, one dot product per row, so each row reduces exactly as
     a lone law would."""
     d = m - q
     return (d[:, None, :] @ d[:, :, None])[:, 0, 0]
-
-
-def objective(candidate: DCSystem, q_hat: JointTensor, kind: str) -> float:
-    """Misfit between a candidate system's output law and ``q_hat``.
-
-    ``kind`` must be one of `OBJECTIVE_KINDS`; "l2sq" is the squared
-    Euclidean distance between the two laws.  Any other kind is a
-    ``ValueError``.
-    """
-    if kind not in OBJECTIVE_KINDS:
-        raise ValueError(f"objective must be one of {OBJECTIVE_KINDS}")
-    model = output_distribution(candidate)
-    if model.shape != q_hat.shape:
-        raise ValueError(f"shape mismatch: model {model.shape} vs target {q_hat.shape}")
-    return float(_objective(model.values[None, :], q_hat.values)[0])
 
 
 def _others_product(S: np.ndarray, k: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from .core import (
     JointTensor,
     _check_seed,
     _frozen_array,
+    _is_integer,
     check_dense_cells,
     column_gaps,
     kl_divergence,
@@ -141,7 +142,9 @@ def sample_dcs(system: DCSystem, n: int, seed: int, _chunk: int = 1 << 15) -> Sa
     its uniforms as one contiguous column; `SampleBatch`'s own copy
     transposes the block.
     """
-    if int(n) < 1:
+    if not _is_integer(n):
+        raise ValueError("record count must be an integer")
+    if n < 1:
         raise ValueError("need at least one record")
     n = int(n)
     seed = _check_seed(seed)

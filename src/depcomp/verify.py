@@ -32,6 +32,7 @@ from .core import (
     Distribution,
     JointTensor,
     Permutation,
+    _is_integer,
     kl_divergence,
     lp_distance,
     numerical_rank,
@@ -282,7 +283,7 @@ def run_suite(name: str, seed: int = 0) -> SuiteReport:
     """Run one named suite and collect its per-check verdict lines."""
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
-    if not 0 <= int(seed) < 2**64 - 2000:
+    if not _is_integer(seed) or not 0 <= int(seed) < 2**64 - 2000:
         raise ValueError("seed out of range for suite derivations")
     checks = _SUITES[name](int(seed))
     lines = tuple(("ok   " if good else "FAIL ") + desc for desc, good in checks)

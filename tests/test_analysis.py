@@ -218,7 +218,8 @@ class TestPairwiseMutualInformation:
         assert abs(mi[1, 0]) <= 1e-12
 
     def test_perfect_correlation_is_one_bit(self):
-        q = dc.diag_embed(HALF, 2)
+        ident = dc.Channel(np.eye(2))
+        q = dc.output_distribution(dc.DCSystem(HALF, (ident, ident)))
         mi = dc.pairwise_mutual_information(q)
         np.testing.assert_allclose(mi, 1.0, atol=1e-12)
 
@@ -392,20 +393,3 @@ class TestVanishingInfimum:
             dc.vanishing_infimum_demo(
                 dc.Distribution(np.array([1.0, 0.0])), self.S, 3, [0.5]
             )
-
-
-class TestSearchNonactivating:
-    def test_two_output_channels_never_activate_four_symbols(self):
-        # Tensor squares of binary columns live in a 3-dim symmetric space,
-        # so rank 4 is impossible and the very first trial qualifies.
-        found = dc.search_nonactivating_channel(4, 2, 2, trials=5, seed=0)
-        assert found is not None
-        assert not dc.activation_invertible(found, 2)
-
-    def test_invertible_regime_finds_nothing(self):
-        assert dc.search_nonactivating_channel(2, 2, 1, trials=10, seed=0) is None
-
-    def test_deterministic(self):
-        a = dc.search_nonactivating_channel(4, 2, 2, trials=5, seed=3)
-        b = dc.search_nonactivating_channel(4, 2, 2, trials=5, seed=3)
-        np.testing.assert_array_equal(a.entries, b.entries)

@@ -55,7 +55,7 @@ class TestUsageErrors:
     def test_unknown_suite(self):
         assert run_cli("verify", "--suite", "nope")[0] == 64
 
-    @pytest.mark.parametrize("kind", ["l1", "kl"])
+    @pytest.mark.parametrize("kind", ["l1", "kl", "l2sq"])
     def test_removed_objective_is_not_offered(self, kind):
         assert run_cli("invert", "--q", "a.json", "--L", "2", "--objective", kind)[0] == 64
 

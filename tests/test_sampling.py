@@ -116,7 +116,7 @@ class TestSampleDcs:
             assert got.records.flags.c_contiguous
 
     def test_point_mass_identity_channels(self):
-        sys_ = dc.DCSystem(dc.dirac(1, 2), (IDENT2, IDENT2, IDENT2))
+        sys_ = dc.DCSystem(dc.Distribution([1.0, 0.0]), (IDENT2, IDENT2, IDENT2))
         b = dc.sample_dcs(sys_, 5, seed=9)
         np.testing.assert_array_equal(b.records, np.ones((5, 3), dtype=b.records.dtype))
 
@@ -159,16 +159,17 @@ class TestSampleDcs:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             dc.sample_dcs(FAIR_COPY, 0, seed=0)
+        with pytest.raises(ValueError, match="must be an integer"):
+            dc.sample_dcs(FAIR_COPY, 2.5, seed=0)
         # Every seeded function keys Philox with one 64-bit word, by one rule.
         seeded = [
             lambda s: dc.sample_dcs(FAIR_COPY, 10, seed=s),
             lambda s: dc.random_system(2, 2, 3, s),
             lambda s: dc.InversionConfig(L=2, seed=s),
             lambda s: dc.k2_ambiguity_witness(seed=s),
-            lambda s: dc.search_nonactivating_channel(4, 2, 2, trials=1, seed=s),
         ]
         for call in seeded:
-            for seed in (-3, 2**64, 2**100):
+            for seed in (-3, 2**64, 2**100, 1.5, True):
                 with pytest.raises(ValueError, match="^seed must be a 64-bit unsigned integer$"):
                     call(seed)
 

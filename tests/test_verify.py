@@ -53,3 +53,9 @@ def test_seed_changes_derived_cases():
     b = verify.run_suite("uniqueness", seed=1)
     assert a.passed and b.passed
     assert a.lines != b.lines
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64 - 2000, 1.5, True])
+def test_seed_must_be_an_integer_in_range(seed):
+    with pytest.raises(ValueError, match="seed out of range"):
+        verify.run_suite("uniqueness", seed=seed)
