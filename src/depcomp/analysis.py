@@ -24,6 +24,7 @@ from .core import (
     DCSystem,
     Distribution,
     JointTensor,
+    _check_count,
     _check_seed,
     channel_invertible,
     check_dense_cells,
@@ -54,7 +55,7 @@ def khatri_rao_power(W: Channel, K: int) -> np.ndarray:
     ``W``; this is exactly the linear map the K-fold product channel applies
     to a diagonally embedded hidden distribution.
     """
-    if K < 1:
+    if _check_count(K, "K") < 1:
         raise ValueError("power must be at least 1")
     check_dense_cells(W.outputs**K * W.inputs, f"the {K}-fold column power")
     return khatri_rao([W.entries] * K)
@@ -78,13 +79,14 @@ def activation_invertible(W: Channel, K: int) -> bool:
     column-power matrix has full `numerical_rank`, whose cutoff is
     ``core.SINGULAR_RTOL``.
     """
+    _check_count(K, "K")
     _check_distinct_columns(W)
     return numerical_rank(khatri_rao_power(W, K)) == W.inputs
 
 
 def min_activation_order(W: Channel, Kmax: int) -> int | None:
     """Smallest ``K <= Kmax`` at which ``activation_invertible`` holds, else None."""
-    if Kmax < 1:
+    if _check_count(Kmax, "Kmax") < 1:
         raise ValueError("Kmax must be at least 1")
     return next((K for K in range(1, Kmax + 1) if activation_invertible(W, K)), None)
 

@@ -20,7 +20,7 @@ letters and agents); storage is ordinary 0-based numpy underneath.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -62,8 +62,26 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Distribution:
+class _ArrayFieldsEq:
+    """``==`` for a frozen dataclass with ndarray fields, declared ``eq=False``.
+
+    Two instances of one class are equal when every field is, an array
+    field by `np.array_equal` (shape and values), any other by ``==``.  The
+    generated ``__eq__`` compares the fields as tuples, which asks an
+    array's elementwise ``==`` for one truth value and raises.  Defining
+    ``__eq__`` leaves ``__hash__`` ``None``, as hashing an array field was
+    already refused.
+    """
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
+class Distribution(_ArrayFieldsEq):
     """A probability vector over the alphabet ``{1, ..., L}``.
 
     Rejects (never repairs) inputs that are not finite, contain negative
@@ -102,8 +120,8 @@ class Distribution:
         return bool(np.all(np.diff(self.probs) < 0.0))
 
 
-@dataclass(frozen=True)
-class Channel:
+@dataclass(frozen=True, eq=False)
+class Channel(_ArrayFieldsEq):
     """A column-stochastic matrix.
 
     ``entries[i, j]`` is the probability of emitting output ``i + 1`` when the
@@ -188,8 +206,8 @@ class Permutation:
         return np.array([im - 1 for im in self.inverse().mapping], dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class JointTensor:
+@dataclass(frozen=True, eq=False)
+class JointTensor(_ArrayFieldsEq):
     """A joint distribution over a product alphabet, stored flat.
 
     ``values`` is laid out in row-major (C) order over ``shape``: the last
@@ -361,6 +379,14 @@ def check_dense_cells(cells: int, what: str) -> None:
 def _is_integer(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; a bool is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_count(value, name: str) -> int:
+    """``value`` as an int, if it is an integer (`_is_integer`); else a
+    ``ValueError`` naming the argument ``name``."""
+    if not _is_integer(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _check_seed(seed: int) -> int:

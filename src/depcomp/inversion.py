@@ -50,8 +50,8 @@ from .core import (
     DCSystem,
     Distribution,
     JointTensor,
+    _check_count,
     _check_seed,
-    _is_integer,
     check_dense_cells,
     forward_law,
     free_parameters,
@@ -97,8 +97,7 @@ class InversionConfig:
 
     def __post_init__(self):
         for name in ("L", "restarts", "max_iters"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer")
+            _check_count(getattr(self, name), name)
         if self.L < 1:
             raise ValueError("hidden alphabet size must be at least 1")
         if self.objective not in OBJECTIVE_KINDS:
@@ -234,10 +233,21 @@ def _block_maps(k: int, B: np.ndarray, shape: tuple):
 
 def _project_state(S: np.ndarray) -> np.ndarray:
     """Project an ``(R, K, L', L)`` state stack: ``J`` as one column of
-    ``L' * L`` cells, every channel column onto its own simplex."""
-    R, _, Lp, L = S.shape
-    J = _project_cols(S[:, :1].reshape(R, 1, Lp * L, 1)).reshape(R, 1, Lp, L)
-    return np.concatenate([J, _project_cols(S[:, 1:])], axis=1)
+    ``L' * L`` cells, every channel column onto its own simplex.
+
+    All columns go through one `_project_cols` call, each channel column
+    padded to ``L' * L`` cells with ``-inf``: a pad sorts last, so it leaves
+    the column's threshold as it is, bit for bit, and projects to 0.
+    """
+    R, K, Lp, L = S.shape
+    cols = np.full((R, Lp * L, 1 + (K - 1) * L), -np.inf)
+    cols[:, :, 0] = S[:, 0].reshape(R, Lp * L)
+    cols[:, :Lp, 1:] = S[:, 1:].transpose(0, 2, 1, 3).reshape(R, Lp, (K - 1) * L)
+    cols = _project_cols(cols)
+    P = np.empty_like(S)
+    P[:, 0] = cols[:, :, 0].reshape(R, Lp, L)
+    P[:, 1:] = cols[:, :Lp, 1:].reshape(R, Lp, K - 1, L).transpose(0, 2, 1, 3)
+    return P
 
 
 def _descend(X, fwd, adj, q, m_cur, f_cur):
@@ -334,10 +344,8 @@ class _Likelihood:
 
     def score(self, S):
         R, K, Lp, L = S.shape
-        flat = S.reshape(R, K * Lp, L)
-        P = flat.take(self.ys[0], axis=1)
-        for rows in self.ys[1:]:
-            P *= flat.take(rows, axis=1)
+        # One gather of every axis's rows, multiplied in axis order.
+        P = S.reshape(R, K * Lp, L).take(self.ys, axis=1).prod(axis=1)
         return P, _divergence(P.sum(axis=2), self.q)
 
     def sweep(self, S, P, f):
@@ -351,7 +359,10 @@ class _Likelihood:
         Lp = S.shape[2]
         N = (self.onehot @ (P * (self.q / P.sum(axis=2))[:, :, None])).reshape(S.shape)
         col = N[:, 1:].sum(axis=2, keepdims=True)
-        N[:, 1:] = np.divide(N[:, 1:], col, out=np.full_like(N[:, 1:], 1.0 / Lp), where=col > 0.0)
+        if (col > 0.0).all():
+            N[:, 1:] /= col
+        else:
+            N[:, 1:] = np.divide(N[:, 1:], col, out=np.full_like(N[:, 1:], 1.0 / Lp), where=col > 0.0)
         P_new, f_new = self.score(N)
         take = f_new <= f
         move = np.where(take, np.abs(N - S).max(axis=(1, 2, 3)), 0.0)
@@ -414,7 +425,10 @@ def _solve_stack(criterion, starts: list, ids: list, max_iters: int) -> list:
             ex = _project_state(S + gamma[:, None, None, None] * (S - prev))
             c_ex, f_ex = criterion.score(ex)
             take = f_ex < f_cur
-            if take.any():
+            if take.all():
+                move = np.maximum(move, np.abs(ex - S).max(axis=(1, 2, 3)))
+                S, cache, f_cur = ex, c_ex, f_ex
+            elif take.any():
                 move = np.where(take, np.maximum(move, np.abs(ex - S).max(axis=(1, 2, 3))), move)
                 S = _pick(take, ex, S)
                 cache = _pick(take, c_ex, cache)
@@ -529,8 +543,10 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
     groups = first + [range(a, min(a + width, R)) for a in range(len(first), R, width)]
     logs, states = [], {}
     for group in groups:
+        # Restart j's stream is Philox(key=seed).jumped(j), whose counter
+        # is [0, 0, j, 0]; built from the counter directly, it costs a third.
         starts = [
-            _random_start(Generator(Philox(key=config.seed).jumped(j)), config.L, Lp, K)
+            _random_start(Generator(Philox(key=config.seed, counter=[0, 0, j, 0])), config.L, Lp, K)
             for j in group
         ]
         for log, state in _solve_stack(criterion, starts, list(group), config.max_iters):

@@ -12,7 +12,6 @@ import dataclasses
 import json
 import math
 import os
-import tempfile
 from io import BytesIO, TextIOWrapper
 
 import numpy as np
@@ -85,18 +84,23 @@ def write_text_atomic(path, text) -> None:
     """Write via a sibling temp file and rename, so the path is never partial.
 
     ``text`` is a string or an iterable of strings, written in order.  The
-    file gets mode ``0o666`` less the process umask, as `open` would give it.
+    temp file is created with mode ``0o666``, which the kernel lowers by the
+    process umask as it does for `open`, and the rename keeps that mode.
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp.", suffix=".part")
+    # A fresh random name for each try; O_EXCL refuses one that exists.
+    for _ in range(100):
+        tmp = os.path.join(directory, f".tmp.{os.urandom(6).hex()}.part")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no free temporary file name in {directory}")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            # mkstemp creates the file 0600, and `os.replace` keeps that
-            # mode; give it the mode a plain `open` would.
-            os.chmod(tmp, 0o666 & ~umask)
             fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
@@ -226,53 +230,94 @@ def load_tensor(path) -> JointTensor:
 # memory.  An n = 2e4 sample is one chunk.
 _CSV_CHUNK_ROWS = 1 << 15
 
+_ASCII_DIGITS = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+
 
 def _sample_header(K: int) -> str:
     return "t," + ",".join(f"y{k}" for k in range(1, K + 1))
 
 
-def _csv_rows(columns) -> bytes:
-    """The lines ``c_1,...,c_m`` of the equal-length nonnegative int64 ``columns``.
+def _counter_digits(first: int, out: np.ndarray) -> np.ndarray:
+    """``out``, a ``(rows, D)`` uint8 array, filled with the ASCII digits of
+    the ``D``-digit counters ``first..first+rows-1``, and returned.
 
-    Each value is written right-aligned into a zero-filled uint8 grid as wide
-    as its column's largest value, one ``//`` and ``%`` per digit place; the
-    commas and the newline have columns of their own, and dropping the zero
-    pad bytes in one boolean compaction leaves the text.
+    The digit at place ``10**i`` runs through ``0..9`` in turn, each held
+    for ``10**i`` consecutive counters, so its column is a tiled ``0..9``
+    cut to the digits the rows pass through, each repeated for as many rows
+    as it lasts; no row is divided.  ``out`` may be a column slice of a
+    wider grid.
     """
-    widths = [len(str(int(c.max()))) for c in columns]
-    grid = np.zeros((len(columns[0]), sum(widths) + len(widths)), dtype=np.uint8)
-    end = 0
-    for c, w in zip(columns, widths):
+    rows, digits = out.shape
+    last = first + rows - 1
+    for i in range(digits):
+        place = 10 ** (digits - 1 - i)
+        lo, hi = first // place, last // place
+        col = np.tile(_ASCII_DIGITS, (hi - lo) // 10 + 2)[lo % 10 : lo % 10 + hi - lo + 1]
+        if place > 1:
+            held = np.full(hi - lo + 1, place)
+            held[0] -= first % place
+            held[-1] -= place - 1 - last % place
+            col = col.repeat(held)
+        out[:, i] = col
+    return out
+
+
+def _csv_lines(first: int, block: np.ndarray) -> bytes:
+    """The lines ``t,y_1,...,y_K`` of the nonnegative int64 ``block``, with
+    ``t`` counting from ``first`` and every counter of ``D`` digits.
+
+    Each line is a row of a uint8 grid: the counter's digits from
+    `_counter_digits`, then a comma and each symbol right-aligned in a field
+    as wide as its column's largest value, one ``//`` and ``%`` per digit
+    place, then the newline.  When every symbol has one digit (``block.max()
+    <= 9``) no field is padded and the grid is the text; otherwise the pad
+    bytes, left 0, are dropped in one boolean compaction.
+    """
+    rows, K = block.shape
+    D = len(str(first))
+    padded = int(block.max()) > 9
+    widths = [len(str(int(c.max()))) for c in block.T] if padded else [1] * K
+    grid = np.zeros((rows, D + sum(widths) + K + 1), dtype=np.uint8)
+    _counter_digits(first, grid[:, :D])
+    end = D
+    for c, w in zip(block.T, widths):
+        grid[:, end] = ord(",")
         end += w
-        grid[:, end - 1] = c % 10 + 48
+        # A one-digit column is its own last digit.
+        np.add(c % 10 if w > 1 else c, 48, out=grid[:, end], casting="unsafe")
         for i in range(1, w):
             place = 10**i
-            grid[:, end - 1 - i] = np.where(c >= place, c // place % 10 + 48, 0)
-        grid[:, end] = ord(",")
+            grid[:, end - i] = np.where(c >= place, c // place % 10 + 48, 0)
         end += 1
     grid[:, -1] = ord("\n")
-    return grid[grid != 0].tobytes()
+    return (grid[grid != 0] if padded else grid).tobytes()
 
 
 def _sample_text(records: np.ndarray):
-    """The sample file of ``records`` in pieces: the header, then one piece per
-    chunk of `_CSV_CHUNK_ROWS` rows, each formatted by `_csv_rows`.
+    """The sample file of ``records`` in pieces: the header, then one piece
+    per run of rows, within a chunk of `_CSV_CHUNK_ROWS`, whose counters
+    have one digit count, each formatted by `_csv_lines`.
 
     The text is byte for byte that of ``"%d,...,%d\\n"`` per record.
     """
     n, K = records.shape
     yield _sample_header(K) + "\n"
-    for start in range(0, n, _CSV_CHUNK_ROWS):
-        block = records[start : start + _CSV_CHUNK_ROWS]
-        t = np.arange(start + 1, start + len(block) + 1, dtype=np.int64)
-        yield _csv_rows([t, *block.T]).decode("ascii")
+    for chunk in range(0, n, _CSV_CHUNK_ROWS):
+        block = records[chunk : chunk + _CSV_CHUNK_ROWS]
+        start = 0
+        while start < len(block):
+            first = chunk + 1 + start
+            # The rows before the counter 10**D share first's digit count D.
+            stop = min(len(block), 10 ** len(str(first)) - chunk - 1)
+            yield _csv_lines(first, block[start:stop]).decode("ascii")
+            start = stop
 
 
 def save_samples(path, batch: SampleBatch) -> None:
     """Write ``t,y1..yK`` and one ``t,y_1,...,y_K`` line per record, ``t`` from 1.
 
     Every value is written in plain decimal, without sign, spaces or leading
-    zeros, and every line ends in ``\\n``.  Chunks of rows are formatted as
+    zeros, and every line ends in ``\\n``.  Runs of rows are formatted as
     arrays, so no Python code runs per record.
     """
     write_text_atomic(path, _sample_text(batch.records))
@@ -284,15 +329,19 @@ def _canonical_records(data: bytes):
 
     Such a file's rows whose counters have ``D`` digits all have width
     ``D + 2K + 1``, so each run of them is viewed as a 2-D byte array and
-    checked column by column: the counter digits against those of its ``t``,
-    the commas and the newline, and the symbols in ``b"1".."9"``.
+    checked in one comparison per chunk of rows: each byte less its least
+    value, the counter digits from `_counter_digits`, a comma, ``b"1"`` for
+    a symbol or the newline, must be 0, or at most 8 for a symbol.  The
+    records come back as
+    a read-only int64 array that owns its data, which `SampleBatch` keeps
+    without a copy.
     """
     head = data.find(b"\n")
     K = data.count(b",", 0, head)
     if head < 0 or K < 1 or data[:head] != _sample_header(K).encode():
         return None
     body = np.frombuffer(data, dtype=np.uint8, offset=head + 1)
-    pieces, pos, digits = [], 0, 1
+    runs, pos, digits = [], 0, 1
     while pos < body.size:
         width, first = digits + 2 * K + 1, 10 ** (digits - 1)
         # A run is whole (counters first..10*first-1) or is the last one; a
@@ -300,18 +349,34 @@ def _canonical_records(data: bytes):
         rows = min(9 * first, (body.size - pos) // width)
         if rows == 0:
             return None
-        run = body[pos : pos + rows * width].reshape(rows, width)
-        t = np.arange(first, first + rows)
-        for i in range(digits):
-            if not np.array_equal(run[:, i], t // 10 ** (digits - 1 - i) % 10 + 48):
+        # Each byte's least value and how far above it the byte may lie: the
+        # counter's digits exactly, then a comma and a symbol in "1".."9"
+        # per channel, then the newline.
+        low = np.array([0] * digits + [ord(","), ord("1")] * K + [ord("\n")], np.uint8)
+        room = np.array([0] * (digits + 1) + [8, 0] * K, np.uint8)
+        # Up to `_CSV_CHUNK_ROWS` rows at a time, so the temporaries stay small.
+        for start in range(0, rows, _CSV_CHUNK_ROWS):
+            stop = min(rows, start + _CSV_CHUNK_ROWS)
+            least = np.tile(low, stop - start)
+            _counter_digits(first + start, least.reshape(stop - start, width)[:, :digits])
+            # In uint8 a byte below its least value wraps around past any room.
+            if not (body[pos + start * width : pos + stop * width] - least <= np.tile(room, stop - start)).all():
                 return None
-        symbols = run[:, digits + 1 :: 2]
-        commas, newlines = run[:, digits:-1:2], run[:, -1]
-        if not ((commas == ord(",")).all() and (newlines == ord("\n")).all() and (symbols - ord("1") < 9).all()):
-            return None
-        pieces.append(symbols - ord("0"))
+        runs.append(body[pos : pos + rows * width].reshape(rows, width)[:, digits + 1 :: 2])
         pos, digits = pos + rows * width, digits + 1
-    return np.concatenate(pieces).astype(np.int64) if pieces else None
+    if not runs:
+        return None
+    # Copied column by column: a 1-D strided copy is cheaper than a 2-D one
+    # whose inner axis has K cells.
+    records = np.empty((sum(map(len, runs)), K), dtype=np.int64)
+    start = 0
+    for symbols in runs:
+        for k in range(K):
+            records[start : start + len(symbols), k] = symbols[:, k]
+        start += len(symbols)
+    records -= ord("0")
+    records.flags.writeable = False
+    return records
 
 
 def _parse_rows(rows: list, width: int) -> np.ndarray:

@@ -20,9 +20,10 @@ from .core import (
     DCSystem,
     Distribution,
     JointTensor,
+    _ArrayFieldsEq,
+    _check_count,
     _check_seed,
     _frozen_array,
-    _is_integer,
     check_dense_cells,
     column_gaps,
     kl_divergence,
@@ -36,8 +37,8 @@ _PHILOX_BLOCK = 4
 _NOISE_WEIGHT = 0.3
 
 
-@dataclass(frozen=True)
-class SampleBatch:
+@dataclass(frozen=True, eq=False)
+class SampleBatch(_ArrayFieldsEq):
     """``n`` observation records of ``K`` symbols each, in ``1..output_size``.
 
     ``records[t - 1, k - 1]`` is the output of channel ``k`` in record ``t``.
@@ -64,8 +65,8 @@ class SampleBatch:
         return int(self.records.shape[1])
 
 
-@dataclass(frozen=True)
-class EmpiricalCounts:
+@dataclass(frozen=True, eq=False)
+class EmpiricalCounts(_ArrayFieldsEq):
     """Occurrence counts of the observed output tuples, sparse over the law's cells.
 
     ``cells`` are the flat C-order indices of the tuples seen, strictly
@@ -142,11 +143,9 @@ def sample_dcs(system: DCSystem, n: int, seed: int, _chunk: int = 1 << 15) -> Sa
     its uniforms as one contiguous column; `SampleBatch`'s own copy
     transposes the block.
     """
-    if not _is_integer(n):
-        raise ValueError("record count must be an integer")
+    n = _check_count(n, "n")
     if n < 1:
         raise ValueError("need at least one record")
-    n = int(n)
     seed = _check_seed(seed)
     K = system.num_channels
     check_dense_cells(n * K, f"sampling {n} records")
@@ -231,6 +230,7 @@ def random_channel(
     apart in L1, so downstream rank tests are well-conditioned; raises
     ``ValueError`` when 1000 draws all fail.
     """
+    outputs, inputs = _check_count(outputs, "outputs"), _check_count(inputs, "inputs")
     if outputs == 1 < inputs and min_column_gap > 0.0:
         raise ValueError(
             "a channel with one output symbol cannot have distinct columns; "
@@ -264,6 +264,7 @@ def random_system(
     and on gaps between sorted masses.  A channel stack of more than
     ``MAX_DENSE_CELLS`` entries is refused before anything is drawn.
     """
+    L, Lprime, K = _check_count(L, "L"), _check_count(Lprime, "Lprime"), _check_count(K, "K")
     if L < 1 or Lprime < 1 or K < 1:
         raise ValueError("alphabet sizes and channel count must be at least 1")
     check_dense_cells(K * Lprime * L, "the channel stack")

@@ -131,6 +131,23 @@ class TestMinActivationOrder:
             assert all(r2 >= r1 for r1, r2 in zip(ranks, ranks[1:]))
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: dc.khatri_rao_power(W_MIDPOINT, 2.0), "K"),
+        (lambda: dc.khatri_rao_power(W_MIDPOINT, True), "K"),
+        (lambda: dc.activation_invertible(W_MIDPOINT, 2.5), "K"),
+        (lambda: dc.activation_invertible(W_MIDPOINT, True), "K"),
+        (lambda: dc.min_activation_order(W_MIDPOINT, 2.5), "Kmax"),
+        (lambda: dc.min_activation_order(W_MIDPOINT, True), "Kmax"),
+    ],
+    ids=["power-float", "power-bool", "activation-float", "activation-bool", "order-float", "order-bool"],
+)
+def test_counts_must_be_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
 class TestKernelsEqual:
     def test_identical_channels(self):
         w = dc.Channel(np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]))

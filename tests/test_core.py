@@ -421,3 +421,38 @@ class TestChannelInvertible:
             e[:, 0] = (1.0 - t) * e[:, 1] + t * e[:, 0]
             w = dc.Channel(e)
             assert dc.channel_invertible(w) == (dc.core.numerical_rank(w.entries) == w.inputs)
+
+
+def _fit(seed):
+    q = dc.output_distribution(dc.random_system(2, 2, 3, seed))
+    return dc.recover_system(q, dc.InversionConfig(L=2, restarts=2, max_iters=20, seed=0))
+
+
+# Each container holding arrays: a builder of an instance from an int, where
+# equal ints give equal instances and 1 and 2 give unequal ones.
+EQUALITY_CASES = {
+    "Distribution": lambda i: dc.Distribution(np.array([0.5, 0.5]) if i == 1 else np.array([0.4, 0.6])),
+    "Channel": lambda i: dc.Channel(np.eye(2) if i == 1 else np.full((2, 2), 0.5)),
+    "DCSystem": lambda i: dc.random_system(2, 2, 3, i),
+    "JointTensor": lambda i: dc.output_distribution(dc.random_system(2, 2, 3, i)),
+    "EmpiricalCounts": lambda i: dc.type_counts(dc.sample_dcs(BSC_SYSTEM, 50, seed=i)),
+    "SampleBatch": lambda i: dc.sample_dcs(BSC_SYSTEM, 50, seed=i),
+    "InversionResult": _fit,
+}
+
+
+@pytest.mark.parametrize("kind", list(EQUALITY_CASES))
+def test_equality_compares_array_fields_by_value(kind):
+    make = EQUALITY_CASES[kind]
+    a, b, c = make(1), make(1), make(2)
+    assert type(a).__name__ == kind and a is not b
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert a != object()
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
+def test_equality_needs_equal_shapes():
+    assert dc.JointTensor((4,), np.full(4, 0.25)) != dc.JointTensor((2, 2), np.full(4, 0.25))
+    assert dc.Distribution(np.array([1.0])) != dc.Distribution(np.array([1.0, 0.0]))

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 import depcomp as dc
 from depcomp.core import forward_law
@@ -127,13 +128,15 @@ class TestBlockMaps:
 class TestProjectState:
     def test_j_is_one_simplex_and_channels_are_columns(self):
         rng = np.random.default_rng(5)
-        S = rng.normal(size=(2, 3, 2, 3))
-        out = _project_state(S)
-        for r in range(2):
-            np.testing.assert_array_equal(out[r, 0].ravel(), project(S[r, 0].ravel()))
-            for k in (1, 2):
-                for x in range(3):
-                    np.testing.assert_array_equal(out[r, k][:, x], project(S[r, k][:, x]))
+        # (R, K, L', L); then one channel only, one output symbol, one hidden symbol.
+        for shape in [(2, 3, 2, 3), (2, 1, 3, 2), (3, 4, 1, 3), (2, 3, 4, 1)]:
+            S = rng.normal(size=shape)
+            out = _project_state(S)
+            for r in range(shape[0]):
+                np.testing.assert_array_equal(out[r, 0].ravel(), project(S[r, 0].ravel()))
+                for k in range(1, shape[1]):
+                    for x in range(shape[3]):
+                        np.testing.assert_array_equal(out[r, k][:, x], project(S[r, k][:, x]))
 
 
 class TestDescend:
@@ -702,3 +705,21 @@ def test_relabelings_cover_all_global_minima():
         moved = dc.permute_system(dc.Permutation(mapping), truth)
         gaps.append(np.abs(moved.p.probs - res.p_hat.probs).sum())
     assert min(gaps) <= 1e-3
+
+
+def _plain_state(state):
+    return {k: _plain_state(v) if isinstance(v, dict) else np.asarray(v).tolist() for k, v in state.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**64 - 1])
+def test_restart_streams_are_the_jumped_streams(seed):
+    # recover_system keys restart j's generator with the counter [0, 0, j, 0],
+    # which is the state of Philox(key=seed).jumped(j), so its starts are
+    # those of the jumped streams.
+    for j in range(4):
+        jumped, direct = Philox(key=seed).jumped(j), Philox(key=seed, counter=[0, 0, j, 0])
+        assert _plain_state(direct.state) == _plain_state(jumped.state)
+        np.testing.assert_array_equal(
+            inversion._random_start(Generator(direct), 3, 2, 4),
+            inversion._random_start(Generator(jumped), 3, 2, 4),
+        )

@@ -8,6 +8,8 @@ import pytest
 import depcomp as dc
 from depcomp.io import (
     _CSV_CHUNK_ROWS,
+    _canonical_records,
+    _counter_digits,
     load_result,
     load_samples,
     load_system,
@@ -83,6 +85,17 @@ class TestAtomicWrite:
             os.umask(previous)
         for name in ("plain", "doc.json", "samples.csv"):
             assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+
+    def test_process_umask_is_left_alone(self, tmp_path, monkeypatch):
+        # Setting the umask, even for a moment, would change the mode of any
+        # file another thread creates meanwhile.
+        def refuse(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", refuse)
+        write_text_atomic(tmp_path / "doc.json", "x\n")
+        assert (tmp_path / "doc.json").read_text() == "x\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
 
 
 class TestSystemFile:
@@ -176,7 +189,8 @@ def reference_csv(records) -> str:
 
 # (L, L', K, n): one channel, one record, counters crossing 9 -> 10 and
 # 99 -> 100 inside one chunk among one- and two-digit symbols, exactly one of
-# the writer's chunks and one chunk plus one row, two chunks plus three rows.
+# the writer's chunks and one chunk plus one row, two chunks plus three rows,
+# and counters crossing 99 999 -> 100 000 inside the fourth chunk.
 SAMPLE_SHAPES = [
     (2, 3, 1, 50),
     (2, 2, 3, 1),
@@ -184,6 +198,7 @@ SAMPLE_SHAPES = [
     (2, 2, 2, _CSV_CHUNK_ROWS),
     (2, 2, 2, _CSV_CHUNK_ROWS + 1),
     (2, 2, 2, 2 * _CSV_CHUNK_ROWS + 3),
+    (2, 2, 1, 100_001),
 ]
 
 
@@ -248,13 +263,40 @@ class TestSampleFile:
             raise AssertionError("np.loadtxt called on a file as save_samples writes it")
 
         path = tmp_path / "samples.csv"
-        batch = sampled_batch(2, 9, 4, 1234)
-        save_samples(path, batch)
         monkeypatch.setattr(np, "loadtxt", refuse)
-        for output_size in (None, 9, 10):
-            loaded = load_samples(path, output_size)
-            assert loaded.output_size == (output_size or batch.records.max())
-            np.testing.assert_array_equal(loaded.records, batch.records)
+        # Four- and six-digit counters, the latter from 100 000 on.
+        for shape in [(2, 9, 4, 1234), (2, 2, 1, 100_001)]:
+            batch = sampled_batch(*shape)
+            save_samples(path, batch)
+            for output_size in (None, 9, 10):
+                loaded = load_samples(path, output_size)
+                assert loaded.output_size == (output_size or batch.records.max())
+                np.testing.assert_array_equal(loaded.records, batch.records)
+
+    def test_read_records_are_kept_without_a_copy(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        save_samples(path, sampled_batch(2, 2, 3, 150))
+        records = _canonical_records(path.read_bytes())
+        assert not records.flags.writeable
+        assert dc.SampleBatch(2, records).records is records
+
+    @pytest.mark.parametrize(
+        "first, rows",
+        [
+            (1, 9), (4, 3), (10, 90), (37, 1), (10, 1), (99, 1), (100, 900), (123, 456),
+            (10_000, 90_000), (99_990, 10), (100_000, 1), (123_456, 7_890),
+        ],
+    )
+    def test_counter_digits_are_the_decimal_counters(self, first, rows):
+        digits = len(str(first))
+        want = np.frombuffer("".join(map(str, range(first, first + rows))).encode(), np.uint8)
+        got = _counter_digits(first, np.empty((rows, digits), dtype=np.uint8))
+        np.testing.assert_array_equal(got, want.reshape(rows, digits))
+        # A column slice of a wider grid is filled in place.
+        grid = np.zeros((rows, digits + 2), dtype=np.uint8)
+        _counter_digits(first, grid[:, 1 : digits + 1])
+        np.testing.assert_array_equal(grid[:, 1 : digits + 1], got)
+        assert not grid[:, [0, -1]].any()
 
     @pytest.mark.parametrize(
         "edit, output_size, match",
@@ -278,6 +320,17 @@ class TestSampleFile:
         path.write_text(text[:start] + edit(text[start:end]) + text[end:])
         with pytest.raises(ValueError, match=f"^sample file: {match}"):
             load_samples(path, output_size)
+
+    def test_fault_in_a_later_chunk_of_a_run_is_found(self, tmp_path):
+        # Counters 10000..99999 are one run of 90 000 rows, checked a chunk
+        # of rows at a time; row 70000 lies in its third chunk.
+        path = tmp_path / "samples.csv"
+        save_samples(path, sampled_batch(2, 2, 1, 100_001))
+        text = path.read_text()
+        start = text.index("\n70000,") + 1
+        path.write_text(text[:start] + "70001" + text[start + 5 :])
+        with pytest.raises(ValueError, match="^sample file: row 70000 has counter 70001, expected 70000$"):
+            load_samples(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "samples.csv"

@@ -385,6 +385,27 @@ class TestRandomGeneration:
         with pytest.raises(ValueError, match="1000 draws"):
             dc.random_system(3, 3, 3, 0, min_mass=0.4)
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: dc.random_system(2.0, 2, 3, 1), "L"),
+            (lambda: dc.random_system(2, 2.0, 3, 1), "Lprime"),
+            (lambda: dc.random_system(2, 2, 3.0, 1), "K"),
+            (lambda: dc.random_system(True, 2, 3, 1), "L"),
+            (lambda: dc.random_channel(np.random.default_rng(0), 2.0, 2), "outputs"),
+            (lambda: dc.random_channel(np.random.default_rng(0), 2, np.float64(3)), "inputs"),
+            (lambda: dc.random_channel(np.random.default_rng(0), 2, True), "inputs"),
+        ],
+        ids=["L-float", "Lprime-float", "K-float", "L-bool", "outputs-float", "inputs-numpy-float", "inputs-bool"],
+    )
+    def test_counts_must_be_integers(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
+
+    def test_numpy_integer_counts_accepted(self):
+        a = dc.random_system(np.int64(2), np.int32(2), np.uint8(3), 1)
+        assert a == dc.random_system(2, 2, 3, 1)
+
     def test_random_system_deterministic(self):
         a = dc.random_system(3, 2, 4, 99)
         b = dc.random_system(3, 2, 4, 99)
