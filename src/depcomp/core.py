@@ -47,7 +47,9 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     laid out its arrays.  An ndarray that is already read-only, C-ordered,
     of ``dtype`` and owns its data is kept, not copied: the functions that
     build a law or counts freeze the array they have just computed, and a
-    K = 11 law then costs no second 32 MB pass.
+    K = 11 law then costs no second 32 MB pass.  An int64 array is frozen
+    only from integers: values of another dtype, bool included, are refused
+    rather than truncated.
     """
     if (
         isinstance(values, np.ndarray)
@@ -57,6 +59,10 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
         and values.dtype == dtype
     ):
         return values
+    if dtype == np.int64:
+        values = np.asarray(values)
+        if values.size and values.dtype.kind not in "iu":
+            raise ValueError(f"expected an integer array, got dtype {values.dtype}")
     arr = np.array(values, dtype=dtype, order="C")
     arr.flags.writeable = False
     return arr
@@ -107,17 +113,8 @@ class Distribution(_ArrayFieldsEq):
     def size(self) -> int:
         return int(self.probs.size)
 
-    def prob(self, symbol: int) -> float:
-        """Mass assigned to 1-based ``symbol``."""
-        if not 1 <= symbol <= self.size:
-            raise ValueError(f"symbol {symbol} outside alphabet of size {self.size}")
-        return float(self.probs[symbol - 1])
-
     def strictly_positive(self) -> bool:
         return bool(np.all(self.probs > 0.0))
-
-    def strictly_descending(self) -> bool:
-        return bool(np.all(np.diff(self.probs) < 0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,12 +154,6 @@ class Channel(_ArrayFieldsEq):
         """Number of input symbols (columns)."""
         return int(self.entries.shape[1])
 
-    def column(self, j: int) -> np.ndarray:
-        """Output distribution for 1-based input symbol ``j``."""
-        if not 1 <= j <= self.inputs:
-            raise ValueError(f"input symbol {j} outside alphabet of size {self.inputs}")
-        return self.entries[:, j - 1]
-
     @classmethod
     def identity(cls, L: int) -> "Channel":
         return cls(np.eye(L))
@@ -175,7 +166,7 @@ class Permutation:
     mapping: tuple
 
     def __post_init__(self):
-        mapping = tuple(int(v) for v in self.mapping)
+        mapping = tuple(_check_count(v, "permutation entry") for v in self.mapping)
         if len(mapping) == 0 or sorted(mapping) != list(range(1, len(mapping) + 1)):
             raise ValueError(f"{mapping!r} is not a permutation of 1..{len(mapping)}")
         object.__setattr__(self, "mapping", mapping)
@@ -184,26 +175,13 @@ class Permutation:
     def size(self) -> int:
         return len(self.mapping)
 
-    @classmethod
-    def identity(cls, L: int) -> "Permutation":
-        return cls(tuple(range(1, L + 1)))
-
-    def __call__(self, i: int) -> int:
-        if not 1 <= i <= self.size:
-            raise ValueError(f"symbol {i} outside domain of size {self.size}")
-        return self.mapping[i - 1]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.size
-        for i, image in enumerate(self.mapping, start=1):
-            inv[image - 1] = i
-        return Permutation(tuple(inv))
-
     def source_indices(self) -> np.ndarray:
         """0-based gather indices: position ``i`` of the result pulls from
         position ``source_indices()[i]`` of the original, i.e. the action on a
-        distribution is ``new[i] = old[inverse(i)]``."""
-        return np.array([im - 1 for im in self.inverse().mapping], dtype=np.intp)
+        distribution is ``new[i] = old[tau^{-1}(i)]``.  Image ``i + 1`` sits
+        at position ``tau^{-1}(i + 1) - 1`` of ``mapping``, so the indices
+        are its argsort."""
+        return np.argsort(self.mapping)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +202,7 @@ class JointTensor(_ArrayFieldsEq):
     n: int | None = None
 
     def __post_init__(self):
-        shape = tuple(int(s) for s in self.shape)
+        shape = tuple(_check_count(s, "shape entry") for s in self.shape)
         if len(shape) == 0 or any(s < 1 for s in shape):
             raise ValueError(f"invalid tensor shape {shape!r}")
         arr = np.asarray(self.values, dtype=np.float64)

@@ -56,6 +56,7 @@ from .core import (
     forward_law,
     free_parameters,
     khatri_rao,
+    permute_system,
     Permutation,
 )
 
@@ -490,15 +491,25 @@ def _random_start(rng: Generator, L: int, Lp: int, K: int) -> np.ndarray:
     return np.stack(blocks)
 
 
+def _canonical_order(p: np.ndarray, mats) -> np.ndarray:
+    """Gather indices that put hidden symbols in canonical order: mass
+    descending, ties broken by the stacked channel columns of ``mats``,
+    compared lexicographically (ascending) channel by channel.  Symbols
+    equal in every key keep their order, so the representative is unique.
+    `np.lexsort` takes its primary key last."""
+    return np.lexsort(np.vstack([np.vstack(mats)[::-1], -p]))
+
+
 def _system(state: np.ndarray) -> DCSystem:
-    """The system of one ``(K, L', L)`` state: ``p = J.sum(axis=0)`` and
-    ``W_1 = J / p``.  A hidden symbol of mass 0 leaves its ``W_1`` column
-    undetermined; it gets the uniform ``1/L'``, and ``near_boundary`` flags
-    such a fit."""
+    """The system of one ``(K, L', L)`` state, in canonical form
+    (`_canonical_order`): ``p = J.sum(axis=0)`` and ``W_1 = J / p``.  A
+    hidden symbol of mass 0 leaves its ``W_1`` column undetermined; it gets
+    the uniform ``1/L'``, and ``near_boundary`` flags such a fit."""
     J, *Ws = state
     p = J.sum(axis=0)
-    W1 = np.divide(J, p, out=np.full_like(J, 1.0 / len(J)), where=p > 0.0)
-    return DCSystem(Distribution(p), tuple(Channel(W) for W in (W1, *Ws)))
+    mats = (np.divide(J, p, out=np.full_like(J, 1.0 / len(J)), where=p > 0.0), *Ws)
+    order = _canonical_order(p, mats)
+    return DCSystem(Distribution(p[order]), tuple(Channel(W[:, order]) for W in mats))
 
 
 def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResult:
@@ -555,7 +566,7 @@ def recover_system(q_hat: JointTensor, config: InversionConfig) -> InversionResu
         if logs[-1].stop_reason == "fit_floor":
             break
     best = min(logs, key=lambda e: (e.objective, e.restart))
-    system = canonicalize(_system(states[best.restart]))
+    system = _system(states[best.restart])
     return InversionResult(
         p_hat=system.p,
         channels_hat=system.channels,
@@ -572,21 +583,12 @@ def canonicalize(system: DCSystem) -> DCSystem:
     """Relabel hidden symbols so the hidden mass is sorted descending.
 
     Ties in mass are broken by comparing the stacked channel columns
-    lexicographically (ascending), making the representative unique; the
-    output law is untouched because only a relabeling is applied.
+    lexicographically (ascending), making the representative unique
+    (`_canonical_order`); the output law is untouched because only a
+    relabeling is applied.
     """
-    L = system.hidden_size
-
-    def sort_key(i):
-        return (-system.p.probs[i],) + tuple(
-            tuple(ch.entries[:, i]) for ch in system.channels
-        )
-
-    order = sorted(range(L), key=sort_key)
-    return DCSystem(
-        Distribution(system.p.probs[order]),
-        tuple(Channel(ch.entries[:, order]) for ch in system.channels),
-    )
+    order = _canonical_order(system.p.probs, [ch.entries for ch in system.channels])
+    return permute_system(Permutation(tuple(np.argsort(order) + 1)), system)
 
 
 def align_permutation(p_true: Distribution, p_est: Distribution) -> Permutation:
@@ -603,8 +605,7 @@ def align_permutation(p_true: Distribution, p_est: Distribution) -> Permutation:
     est, true = p_est.probs, p_true.probs
     best_map, best_dist = None, np.inf
     for mapping in itertools.permutations(range(1, L + 1)):
-        tau = Permutation(mapping)
-        dist = float(np.abs(est[tau.source_indices()] - true).sum())
+        dist = float(np.abs(est[np.argsort(mapping)] - true).sum())
         if dist < best_dist - 1e-12:
             best_map, best_dist = mapping, dist
     return Permutation(best_map)

@@ -16,7 +16,7 @@ from io import BytesIO, TextIOWrapper
 
 import numpy as np
 
-from .core import Channel, DCSystem, Distribution, JointTensor
+from .core import Channel, DCSystem, Distribution, JointTensor, _check_count
 from .inversion import InversionConfig, InversionResult
 from .sampling import SampleBatch
 
@@ -133,12 +133,6 @@ def _require_keys(doc: dict, keys: tuple, what: str, optional: tuple = ()) -> No
         raise ValueError(f"{what}: unknown keys {extra}")
 
 
-def _as_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
 def _numbers(items, what: str, kinds=(int, float)) -> list:
     """``items`` if it is a list whose entries are all JSON numbers of ``kinds``.
 
@@ -178,9 +172,9 @@ def save_system(path, system: DCSystem) -> None:
 def load_system(path) -> DCSystem:
     doc = _load_json(path, "system file")
     _require_keys(doc, ("L", "Lprime", "K", "p", "channels"), "system file")
-    L = _as_int(doc["L"], "L")
-    Lprime = _as_int(doc["Lprime"], "Lprime")
-    K = _as_int(doc["K"], "K")
+    L = _check_count(doc["L"], "L")
+    Lprime = _check_count(doc["Lprime"], "Lprime")
+    K = _check_count(doc["K"], "K")
     p = _numbers(doc["p"], "system file: p")
     channels = doc["channels"]
     if len(p) != L:

@@ -48,12 +48,14 @@ class SampleBatch(_ArrayFieldsEq):
     records: np.ndarray
 
     def __post_init__(self):
+        size = _check_count(self.output_size, "output_size")
         arr = _frozen_array(self.records, np.int64)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError("records must be a non-empty (n, K) integer array")
-        if arr.min() < 1 or arr.max() > self.output_size:
-            row, col = (int(i) + 1 for i in np.argwhere((arr < 1) | (arr > self.output_size))[0])
-            raise ValueError(f"row {row} has y{col} = {arr[row - 1, col - 1]}, outside 1..{self.output_size}")
+        if arr.min() < 1 or arr.max() > size:
+            row, col = (int(i) + 1 for i in np.argwhere((arr < 1) | (arr > size))[0])
+            raise ValueError(f"row {row} has y{col} = {arr[row - 1, col - 1]}, outside 1..{size}")
+        object.__setattr__(self, "output_size", size)
         object.__setattr__(self, "records", arr)
 
     @property
@@ -81,11 +83,11 @@ class EmpiricalCounts(_ArrayFieldsEq):
     counts: np.ndarray
 
     def __post_init__(self):
-        shape = tuple(int(s) for s in self.shape)
+        shape = tuple(_check_count(s, "shape entry") for s in self.shape)
         if len(shape) == 0 or any(s < 1 for s in shape):
             raise ValueError(f"invalid shape {shape!r}")
-        cells = np.asarray(self.cells, dtype=np.int64)
-        arr = np.asarray(self.counts, dtype=np.int64)
+        cells = _frozen_array(self.cells, np.int64)
+        arr = _frozen_array(self.counts, np.int64)
         if cells.ndim != 1 or arr.ndim != 1 or cells.size != arr.size:
             raise ValueError(
                 f"cells {cells.shape} and counts {arr.shape} must be 1-D and of one length"
@@ -99,8 +101,8 @@ class EmpiricalCounts(_ArrayFieldsEq):
             if arr.min() < 1:
                 raise ValueError("each listed cell must have a positive count")
         object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "cells", _frozen_array(cells, np.int64))
-        object.__setattr__(self, "counts", _frozen_array(arr, np.int64))
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "counts", arr)
 
     @property
     def n(self) -> int:

@@ -72,7 +72,7 @@ class TestGen:
         assert code == 0
         assert "L=2" in out
         sys_ = load_system(path)
-        assert sys_.p.strictly_descending()
+        assert np.all(np.diff(sys_.p.probs) < 0.0)
         assert sys_.num_channels == 3
         assert all(dc.channel_invertible(w) for w in sys_.channels)
 

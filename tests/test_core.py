@@ -28,15 +28,10 @@ class TestDistribution:
     def test_basic_queries(self):
         d = dc.Distribution(np.array([0.5, 0.3, 0.2]))
         assert d.size == 3
-        assert d.prob(1) == 0.5
-        assert d.prob(3) == 0.2
         assert d.strictly_positive()
-        assert d.strictly_descending()
 
     def test_flags(self):
         assert not dc.Distribution(np.array([0.5, 0.0, 0.5])).strictly_positive()
-        assert not dc.Distribution(np.array([0.3, 0.3, 0.4])).strictly_descending()
-        assert not dc.Distribution(np.array([0.2, 0.8])).strictly_descending()
 
     def test_rejects_invalid(self):
         with pytest.raises(ValueError):
@@ -64,8 +59,6 @@ class TestChannel:
         w = dc.Channel(np.array([[0.9, 0.2], [0.1, 0.8]]))
         assert w.inputs == 2
         assert w.outputs == 2
-        np.testing.assert_array_equal(w.column(1), [0.9, 0.1])
-        np.testing.assert_array_equal(w.column(2), [0.2, 0.8])
 
     def test_rectangular(self):
         w = dc.Channel(np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]]))
@@ -86,13 +79,6 @@ class TestChannel:
 
 
 class TestPermutation:
-    def test_identity_and_inverse(self):
-        tau = dc.Permutation((2, 3, 1))
-        assert tau.size == 3
-        assert [tau(i) for i in (1, 2, 3)] == [2, 3, 1]
-        assert tau.inverse().mapping == (3, 1, 2)
-        assert tau.inverse().inverse().mapping == tau.mapping
-
     def test_source_indices_action(self):
         # new[i] = old[tau^{-1}(i)]: mass moves with its label.
         tau = dc.Permutation((2, 3, 1))
@@ -107,9 +93,22 @@ class TestPermutation:
             dc.Permutation((0, 1))
         with pytest.raises(ValueError):
             dc.Permutation(())
-        for i in (0, 4):
-            with pytest.raises(ValueError, match="outside domain"):
-                dc.Permutation((2, 3, 1))(i)
+
+    def test_rejects_non_integer_entries(self):
+        # Truncating 1.5 to 1 would give the valid permutation (1, 2).
+        for mapping in ((1.5, 2), (2.0, 1), (True, 2)):
+            with pytest.raises(ValueError, match="^permutation entry must be an integer, got "):
+                dc.Permutation(mapping)
+
+    def test_source_indices_are_the_inverse_by_definition(self):
+        # tau^{-1}(tau(i)) = i, built one image at a time, 0-based.
+        for L in range(1, 6):
+            for mapping in itertools.permutations(range(1, L + 1)):
+                inverse = [0] * L
+                for i, image in enumerate(mapping):
+                    inverse[image - 1] = i
+                got = dc.Permutation(mapping).source_indices()
+                assert got.dtype == np.intp and got.tolist() == inverse, mapping
 
 
 class TestJointTensor:
@@ -130,6 +129,12 @@ class TestJointTensor:
             dc.JointTensor((2, 2), np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             dc.JointTensor((2,), np.array([1.5, -0.5]))
+
+    def test_rejects_non_integer_shape(self):
+        # Truncating 2.5 would give the valid shape (2, 2).
+        for shape in ((2.5, 2), (2, True)):
+            with pytest.raises(ValueError, match="^shape entry must be an integer, got "):
+                dc.JointTensor(shape, np.full(4, 0.25))
 
     def test_each_invalid_value_gets_its_own_message(self):
         for values in ([np.nan, 1.0], [np.inf, 0.0], [np.inf, -np.inf], [np.nan, -1.0]):
@@ -247,7 +252,7 @@ class TestOutputDistribution:
             copies = (
                 dc.DCSystem(sys_.p, fortran),
                 dc.DCSystem(sys_.p, transposed),
-                dc.permute_system(dc.Permutation.identity(L), sys_),
+                dc.permute_system(dc.Permutation(tuple(range(1, L + 1))), sys_),
             )
             for copy in copies:
                 assert np.array_equal(dc.output_distribution(copy).values, want), (L, Lp, K, seed)
@@ -364,7 +369,8 @@ class TestPermuteSystem:
     def test_inverse_restores(self):
         tau = dc.Permutation((3, 1, 2))
         sys_ = dc.random_system(3, 2, 2, 23)
-        back = dc.permute_system(tau.inverse(), dc.permute_system(tau, sys_))
+        inverse = dc.Permutation((2, 3, 1))
+        back = dc.permute_system(inverse, dc.permute_system(tau, sys_))
         np.testing.assert_array_equal(back.p.probs, sys_.p.probs)
         for w_out, w_in in zip(back.channels, sys_.channels):
             np.testing.assert_array_equal(w_out.entries, w_in.entries)

@@ -9,7 +9,8 @@ import depcomp as dc
 from depcomp.core import forward_law
 from depcomp import core, inversion
 from depcomp.inversion import (
-    _MIN_STEP, _block_maps, _descend, _g2, _objective, _others_product, _project_cols, _project_state, _system,
+    _MIN_STEP, _block_maps, _canonical_order, _descend, _g2, _objective, _others_product, _project_cols,
+    _project_state, _system,
 )
 from oracles import best_relabeling, nearest_simplex_point
 
@@ -655,6 +656,42 @@ class TestCanonicalize:
         c1, c2 = dc.canonicalize(s1), dc.canonicalize(s2)
         np.testing.assert_array_equal(c1.p.probs, c2.p.probs)
         np.testing.assert_array_equal(c1.channels[0].entries, c2.channels[0].entries)
+
+    def test_order_is_the_sorted_key(self):
+        # The key as Python's stable sort takes it: mass descending, then each
+        # channel's column as a tuple, ascending.  Values on a coarse grid tie
+        # in mass, in whole columns and in every key.
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            L, K = 1 + trial % 5, 1 + trial % 3
+            p = rng.integers(0, 2, size=L) / 4.0
+            mats = [rng.integers(0, 2, size=(2, L)) / 2.0 for _ in range(K)]
+            want = sorted(range(L), key=lambda i: (-p[i], *(tuple(m[:, i]) for m in mats)))
+            assert _canonical_order(p, mats).tolist() == want, (p, mats)
+
+    @pytest.mark.parametrize("n", [None, 20_000])
+    def test_fit_is_its_own_canonical_form(self, n):
+        truth, q = exact_law(44)
+        if n is not None:
+            q = dc.ml_estimate(dc.type_counts(dc.sample_dcs(truth, n, 3)))
+        res = dc.recover_system(q, dc.InversionConfig(L=3, restarts=4, max_iters=300, seed=0))
+        fit = dc.DCSystem(res.p_hat, res.channels_hat)
+        assert dc.canonicalize(fit) == fit
+
+    @pytest.mark.parametrize("n", [None, 20_000])
+    def test_one_system_built_per_fit(self, monkeypatch, n):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return dc.DCSystem(*args)
+
+        monkeypatch.setattr(inversion, "DCSystem", counted)
+        truth, q = exact_law(45)
+        if n is not None:
+            q = dc.ml_estimate(dc.type_counts(dc.sample_dcs(truth, n, 4)))
+        dc.recover_system(q, dc.InversionConfig(L=3, restarts=4, max_iters=300, seed=0))
+        assert len(built) == 1
 
 
 class TestAlignPermutation:

@@ -35,6 +35,15 @@ class TestSampleBatch:
         np.testing.assert_array_equal(batch.records, [[1, 2], [2, 1]])
         assert batch.records.dtype == np.int64 and not batch.records.flags.writeable
 
+    def test_float_records_rejected(self):
+        # Truncating 1.7 would give the valid symbol 1.
+        with pytest.raises(ValueError, match="^expected an integer array, got dtype float64$"):
+            dc.SampleBatch(2, np.array([[1.7, 2.0]]))
+
+    def test_bool_output_size_rejected(self):
+        with pytest.raises(ValueError, match="^output_size must be an integer, got True$"):
+            dc.SampleBatch(True, np.array([[1, 1]]))
+
 
 class TestEmpiricalCounts:
     def test_totals_enforced(self):
@@ -50,6 +59,14 @@ class TestEmpiricalCounts:
         np.testing.assert_array_equal(counts.counts, [2, 1])
         for arr in (counts.cells, counts.counts):
             assert arr.dtype == np.int64 and not arr.flags.writeable
+
+    def test_non_integer_inputs_rejected(self):
+        # Truncating would give the valid shape (2, 2), cells [0, 3] and counts [1, 2].
+        for cells, counts in (([0.5, 3.2], [1, 2]), ([0, 3], [1.9, 2.2]), ([0, 3], [True, True])):
+            with pytest.raises(ValueError, match="^expected an integer array, got dtype "):
+                dc.EmpiricalCounts((2, 2), cells, counts)
+        with pytest.raises(ValueError, match="^shape entry must be an integer, got 2.5$"):
+            dc.EmpiricalCounts((2.5, 2), [0, 3], [1, 2])
 
     @pytest.mark.parametrize(
         "cells, counts, match",
@@ -373,7 +390,7 @@ class TestRandomGeneration:
 
     def test_random_system_contract(self):
         sys_ = dc.random_system(3, 3, 3, 7)
-        assert sys_.p.strictly_descending()
+        assert np.all(np.diff(sys_.p.probs) < 0.0)
         assert sys_.p.strictly_positive()
         assert all(dc.channel_invertible(w) for w in sys_.channels)
 
